@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper, plus
-// ablation benches for the design choices called out in DESIGN.md and
-// microbenchmarks of the core samplers. Run with:
+// ablation benches for the design choices listed under "Ablation
+// benches" in EXPERIMENTS.md and microbenchmarks of the core samplers.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -240,7 +241,7 @@ func BenchmarkTTBSLaw(b *testing.B) {
 	b.ReportMetric(emp, "E[C40]")
 }
 
-// --- Ablation benches (DESIGN.md section 5) -------------------------------
+// --- Ablation benches (EXPERIMENTS.md, "Ablation benches") ---------------
 
 // BenchmarkAblationRounding compares stochastic rounding against
 // independent per-item coin flips for the saturated-case acceptance count:

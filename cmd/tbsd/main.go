@@ -190,6 +190,12 @@ func main() {
 		fatal(err)
 	}
 
+	// Install the signal handler before the listener opens: once /readyz
+	// can answer 200, a SIGINT/SIGTERM must drain and run the final
+	// checkpoint, never kill the process with the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -218,8 +224,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(lis) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	exitCode := 0
 	select {
 	case s := <-sig:

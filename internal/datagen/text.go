@@ -17,7 +17,8 @@ type Doc struct {
 // Usenet2 dataset of Katakis et al. used in Section 6.4 (the real dataset —
 // 1500 messages from the 20 Newsgroups collection with the simulated user's
 // interest flipping every 300 messages — is not redistributable, so we
-// synthesize a stream with the same structure; see DESIGN.md).
+// synthesize a stream with the same structure; see the Figure 13 note in
+// EXPERIMENTS.md).
 //
 // Messages are drawn from NumTopics topic-conditional word distributions
 // over a shared vocabulary: each topic owns TopicWords characteristic words

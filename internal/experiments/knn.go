@@ -228,21 +228,23 @@ func RunKNN(cfg KNNConfig, schemes []SchemeSpec[datagen.Point]) ([]SchemeOutcome
 	return out, nil
 }
 
-// evalKNNBatch classifies every point of the batch with a grid-indexed kNN
-// model fit on the sample (equivalent to the exhaustive scan — see
-// TestKNNGridAgreesWithExhaustive — but ~10× faster on this workload) and
-// returns the misclassification percentage, or NaN if either side is empty.
+// evalKNNBatch classifies every point of the batch with a kNN model fit on
+// the sample (2-D points, so Predict answers from the model's grid index)
+// and returns the misclassification percentage, or NaN if either side is
+// empty.
 func evalKNNBatch(sample []datagen.Point, batch []datagen.Point, k int) float64 {
 	if len(sample) == 0 || len(batch) == 0 {
 		return math.NaN()
 	}
-	xs := make([][2]float64, len(sample))
+	flat := make([]float64, 2*len(sample))
+	xs := make([][]float64, len(sample))
 	ys := make([]int, len(sample))
 	for i, p := range sample {
-		xs[i] = p.X
+		flat[2*i], flat[2*i+1] = p.X[0], p.X[1]
+		xs[i] = flat[2*i : 2*i+2 : 2*i+2]
 		ys[i] = p.Class
 	}
-	model, err := ml.NewKNNGrid(k, 0)
+	model, err := ml.NewKNN(k)
 	if err != nil {
 		return math.NaN()
 	}
@@ -250,8 +252,10 @@ func evalKNNBatch(sample []datagen.Point, batch []datagen.Point, k int) float64 
 		return math.NaN()
 	}
 	wrong := 0
+	q := make([]float64, 2)
 	for _, p := range batch {
-		if model.Predict(p.X[0], p.X[1]) != p.Class {
+		q[0], q[1] = p.X[0], p.X[1]
+		if model.Predict(q) != p.Class {
 			wrong++
 		}
 	}

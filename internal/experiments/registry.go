@@ -22,7 +22,7 @@ func runsFor(quick bool, full, quickRuns int) int {
 }
 
 // Registry returns every experiment, sorted by ID. Each entry regenerates
-// one of the paper's tables or figures (see DESIGN.md section 4).
+// one of the paper's tables or figures (the index is in EXPERIMENTS.md).
 func Registry() []Spec {
 	specs := []Spec{
 		{"fig1a", "T-TBS vs R-TBS sample size, growing batches", func(quick bool, seed uint64) (*Result, error) {

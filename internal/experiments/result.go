@@ -2,7 +2,7 @@
 // paper's evaluation (Section 6 plus Figure 1 and the appendices). Each
 // driver returns a Result whose rows reproduce the series or table the
 // paper reports; cmd/tbsbench prints them and bench_test.go wraps them in
-// testing.B benchmarks. DESIGN.md carries the experiment index.
+// testing.B benchmarks. EXPERIMENTS.md carries the experiment index.
 package experiments
 
 import (

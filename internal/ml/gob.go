@@ -39,8 +39,8 @@ func (m *KNN) GobDecode(data []byte) error {
 	if len(g.Xs) != len(g.Ys) {
 		return fmt.Errorf("ml: KNN: decoded %d points with %d labels", len(g.Xs), len(g.Ys))
 	}
-	m.k, m.xs, m.ys = g.K, g.Xs, g.Ys
-	return nil
+	m.k = g.K
+	return m.Fit(g.Xs, g.Ys) // rebuilds the index; the gob stores only the training set
 }
 
 // linregGob is the wire form of LinearRegression.

@@ -55,18 +55,18 @@ type labeledRow struct {
 // unlabeled or malformed items. Canonical rows decode on the byte-level
 // fast path; anything else (non-canonical key order, extra members,
 // out-of-range numbers) takes the reflective reference path, so the
-// accepted language and decoded values are unchanged.
-func parseRow(it Item) (x []float64, y float64, ok bool) {
+// accepted language and decoded values are unchanged. x may alias buf.
+func parseRow(it Item, buf []float64) (x []float64, y float64, ok bool) {
 	if wire.IsBinItem(it) {
 		// Binary rows skip text entirely: the floats are right there. A
 		// one-float row is an unlabeled value, like {"v":N}.
-		vals, err := wire.BinItemFloats(it, nil)
+		vals, err := wire.BinItemFloats(it, buf[:0])
 		if err != nil || len(vals) < 2 {
 			return nil, 0, false
 		}
 		return vals[:len(vals)-1], vals[len(vals)-1], true
 	}
-	if fx, fy, fok := wire.ParseLabeledRow(it, nil); fok {
+	if fx, fy, fok := wire.ParseLabeledRow(it, buf); fok {
 		return fx, fy, len(fx) > 0
 	}
 	var row labeledRow
@@ -74,6 +74,96 @@ func parseRow(it Item) (x []float64, y float64, ok bool) {
 		return nil, 0, false
 	}
 	return row.X, *row.Y, true
+}
+
+// rowCache memoizes parseRow for one managed model, so each sampled row
+// is parsed once — when its batch is scored — instead of once per
+// retrain for as long as it stays in the sample. Entries are keyed by
+// the item's bytes, not by the item's memory, so correctness never
+// depends on item buffers not being reused; lookups with m[string(it)]
+// do not allocate.
+//
+// Bound: score first drops the rows of the previous batch that no
+// retrain has confirmed into a sample, and each retrain drops every row
+// outside its snapshot, so the cache holds at most one sample plus one
+// batch.
+//
+// Locking: none of its own. The boundary uses it only after waitIdle
+// and before it sets inFlight; the retrain uses it only while inFlight
+// is set. inFlight changes under managedModel.mu, so the two never run
+// at once and each sees the other's writes.
+type rowCache struct {
+	rows    map[string]*cachedRow
+	retrain uint64       // stamp of the latest retrain
+	pending []*cachedRow // rows the last score added, unconfirmed so far
+	buf     []float64
+}
+
+// cachedRow is one decoded item under its map key; seen is the stamp of
+// the latest retrain whose snapshot held it (0: only scored so far).
+type cachedRow struct {
+	key  string
+	x    []float64
+	y    float64
+	ok   bool
+	seen uint64
+}
+
+func newRowCache() *rowCache { return &rowCache{rows: make(map[string]*cachedRow)} }
+
+// get returns the decoded item, parsing and caching it on a miss. added
+// reports a miss.
+func (c *rowCache) get(it Item) (r *cachedRow, added bool) {
+	if r := c.rows[string(it)]; r != nil {
+		return r, false
+	}
+	x, y, ok := parseRow(it, c.buf)
+	if ok {
+		c.buf = x[:0]
+		x = append(make([]float64, 0, len(x)), x...)
+	}
+	r = &cachedRow{key: string(it), x: x, y: y, ok: ok}
+	c.rows[r.key] = r
+	return r, true
+}
+
+// scoreRows decodes a batch for scoring, after dropping the previous
+// batch's rows that did not enter a sample a retrain has since seen.
+func (c *rowCache) scoreRows(batch []Item) []*cachedRow {
+	for _, r := range c.pending {
+		if r.seen == 0 {
+			delete(c.rows, r.key)
+		}
+	}
+	c.pending = c.pending[:0]
+	rows := make([]*cachedRow, len(batch))
+	for i, it := range batch {
+		r, added := c.get(it)
+		if added {
+			c.pending = append(c.pending, r)
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// snapshotRows decodes a retrain snapshot and then drops every row
+// outside it.
+func (c *rowCache) snapshotRows(snap []Item) []*cachedRow {
+	c.retrain++
+	rows := make([]*cachedRow, len(snap))
+	for i, it := range snap {
+		r, _ := c.get(it)
+		r.seen = c.retrain
+		rows[i] = r
+	}
+	for k, r := range c.rows {
+		if r.seen != c.retrain {
+			delete(c.rows, k)
+		}
+	}
+	c.pending = c.pending[:0]
+	return rows
 }
 
 // DriftParams are the OnDrift detector knobs exposed through the API;
@@ -271,18 +361,20 @@ const (
 )
 
 // trainModel fits a fresh model of the spec's family on the labeled rows
-// of a realized sample. It is a pure function of (spec, snap) — the
-// property that makes asynchronous retraining deterministic.
-func trainModel(spec ModelSpec, snap []Item) (*deployedModel, error) {
+// of a realized sample, decoding them through rows. It is a pure
+// function of (spec, snap) — the cache only saves parsing, and a cold
+// and a warm cache yield the same model — the property that makes
+// asynchronous retraining deterministic.
+func trainModel(spec ModelSpec, snap []Item, rows *rowCache) (*deployedModel, error) {
 	xs := make([][]float64, 0, len(snap))
 	ys := make([]float64, 0, len(snap))
-	for _, it := range snap {
-		if x, y, ok := parseRow(it); ok {
-			if len(x) > maxModelFeatures {
-				return nil, fmt.Errorf("model: labeled row has %d features, limit %d", len(x), maxModelFeatures)
+	for _, r := range rows.snapshotRows(snap) {
+		if r.ok {
+			if len(r.x) > maxModelFeatures {
+				return nil, fmt.Errorf("model: labeled row has %d features, limit %d", len(r.x), maxModelFeatures)
 			}
-			xs = append(xs, x)
-			ys = append(ys, y)
+			xs = append(xs, r.x)
+			ys = append(ys, r.y)
 		}
 	}
 	if len(xs) == 0 {
@@ -375,6 +467,10 @@ type managedModel struct {
 	cond     *sync.Cond
 	inFlight bool // a retrain is training on the background lane
 
+	// rows is the decoded-row cache score and trainModel share; see
+	// rowCache for why it needs no lock.
+	rows *rowCache
+
 	t             int     // batch boundaries scored since attach/restore
 	retrains      uint64  // completed successful (re)trainings
 	staleness     int     // boundaries since the last successful training
@@ -400,7 +496,7 @@ func newManagedModel(spec ModelSpec, runBg func(func()) error, metrics *Metrics)
 	if err != nil {
 		return nil, err
 	}
-	mm := &managedModel{spec: spec, policy: policy, runBg: runBg, metrics: metrics, lastErr: math.NaN()}
+	mm := &managedModel{spec: spec, policy: policy, runBg: runBg, metrics: metrics, lastErr: math.NaN(), rows: newRowCache()}
 	mm.cond = sync.NewCond(&mm.mu)
 	return mm, nil
 }
@@ -426,19 +522,18 @@ func (mm *managedModel) score(batch []Item) float64 {
 	}
 	wrong, n := 0, 0
 	sqSum := 0.0
-	for _, it := range batch {
-		x, y, ok := parseRow(it)
-		if !ok {
+	for _, r := range mm.rows.scoreRows(batch) {
+		if !r.ok {
 			continue
 		}
 		n++
-		p := d.predict(x)
+		p := d.predict(r.x)
 		if mm.spec.classifier() {
-			if int(p) != int(y) {
+			if int(p) != int(r.y) {
 				wrong++
 			}
 		} else {
-			sqSum += (p - y) * (p - y)
+			sqSum += (p - r.y) * (p - r.y)
 		}
 	}
 	if n == 0 {
@@ -514,7 +609,7 @@ func (mm *managedModel) onBoundary(sampler *tbs.Concurrent[Item], batch []Item, 
 // when the lane is absent or draining.
 func (mm *managedModel) trainAndSwap(snap []Item, btr *obs.Trace) {
 	trainStart := time.Now()
-	model, err := trainModel(mm.spec, snap)
+	model, err := trainModel(mm.spec, snap, mm.rows)
 	btr.StageSince(obs.StageRetrain, trainStart)
 	swapStart := time.Now()
 	mm.mu.Lock()

@@ -21,6 +21,11 @@ func TestParallelPredictDuringRetrain(t *testing.T) {
 	h.attachModel(key, map[string]any{"learner": "knn", "policy": "always"})
 	h.do("POST", "/v1/streams/"+key+"/items", labeledBatch(1, 40), http.StatusOK, nil)
 	h.do("POST", "/v1/streams/"+key+"/advance", nil, http.StatusOK, nil)
+	// The first retrain runs on the background lane; model stats waits
+	// for it, so the readers below never start before a model exists
+	// (they would get 409 model_not_trained, which is not what this test
+	// is about).
+	h.modelStats(key)
 
 	const (
 		readers  = 8

@@ -86,6 +86,76 @@ func FuzzValidateDifferential(f *testing.F) {
 	})
 }
 
+// FuzzLabeledRowDifferential holds ParseLabeledRow to encoding/json. The
+// input is a comma-separated token list; the last token is the label and
+// the rest are features of a canonical row {"x":[…],"y":…}. When every
+// token is a JSON number the two decoders must agree on the verdict —
+// the per-number strconv fallback declines exactly the numbers
+// encoding/json rejects (range errors) — and on every float's bits. The
+// raw input is also parsed as a row on its own, where only an
+// acceptance is checked, since encoding/json also takes non-canonical
+// rows.
+func FuzzLabeledRowDifferential(f *testing.F) {
+	for _, tc := range []string{
+		"1,2,3",
+		"0.12345678901234567,-12.345678901234567,1",
+		"1e99,-1e99,1e99",
+		"1e400,0,1",
+		"-0,-0,-0",
+		"5e-324,4.9e-324,2.2250738585072014e-308",
+		"1e-400,1,2",
+		"7",
+		`{"x":[1.7976931348623157e308],"y":1}`,
+	} {
+		f.Add([]byte(tc))
+	}
+	type ref struct {
+		X []float64 `json:"x"`
+		Y *float64  `json:"y"`
+	}
+	check := func(t *testing.T, row []byte, canonical bool) {
+		x, y, ok := ParseLabeledRow(row, nil)
+		var r ref
+		err := json.Unmarshal(row, &r)
+		refOK := err == nil && r.Y != nil
+		if canonical && ok != refOK {
+			t.Fatalf("ParseLabeledRow(%q) ok = %v, encoding/json ok = %v (err %v)", row, ok, refOK, err)
+		}
+		if !ok {
+			return
+		}
+		if !refOK {
+			t.Fatalf("ParseLabeledRow(%q) ok but encoding/json declines (err %v)", row, err)
+		}
+		if len(x) != len(r.X) || math.Float64bits(y) != math.Float64bits(*r.Y) {
+			t.Fatalf("ParseLabeledRow(%q) = (%v, %v), encoding/json (%v, %v)", row, x, y, r.X, *r.Y)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(r.X[i]) {
+				t.Fatalf("ParseLabeledRow(%q) x[%d] = %x, encoding/json %x", row, i, math.Float64bits(x[i]), math.Float64bits(r.X[i]))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check(t, b, false)
+		toks := bytes.Split(b, []byte{','})
+		canonical := true
+		for _, tok := range toks {
+			canonical = canonical && isJSONNumber(tok)
+		}
+		row := append([]byte(`{"x":[`), bytes.Join(toks[:len(toks)-1], []byte{','})...)
+		row = append(append(append(row, `],"y":`...), toks[len(toks)-1]...), '}')
+		check(t, row, canonical)
+	})
+}
+
+// isJSONNumber reports whether tok is one JSON number, optionally padded
+// with JSON whitespace.
+func isJSONNumber(tok []byte) bool {
+	t := bytes.Trim(tok, " \t\r\n")
+	return json.Valid(tok) && len(t) > 0 && (t[0] == '-' || '0' <= t[0] && t[0] <= '9')
+}
+
 // FuzzBinReader feeds arbitrary bytes to the frame decoder: it must
 // never panic, every failure must be a structured *BinError, and every
 // decoded row must be finite and renderable as valid JSON.

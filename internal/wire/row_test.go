@@ -19,7 +19,11 @@ func TestParseValueRow(t *testing.T) {
 		{`{"v":-0}`, math.Copysign(0, -1), true},
 		{`{"v":1,"tag":"a"}`, 0, false}, // extra member → fallback
 		{`{"w":1}`, 0, false},
-		{`{"v":1e99}`, 0, false}, // out of fast range → fallback
+		{`{"v":1e99}`, 1e99, true},                               // beyond the exact fast path: strconv
+		{`{"v":0.12345678901234568}`, 0.12345678901234568, true}, // 17 significant digits
+		{`{"v":5e-324}`, 5e-324, true},
+		{`{"v":1e-400}`, 0, true}, // underflows to 0, as in encoding/json
+		{`{"v":1e400}`, 0, false}, // range error: encoding/json rejects it
 		{`{"v":}`, 0, false},
 		{`[1]`, 0, false},
 		{``, 0, false},
@@ -29,8 +33,20 @@ func TestParseValueRow(t *testing.T) {
 			t.Errorf("ParseValueRow(%q) ok = %v, want %v", tc.in, ok, tc.ok)
 			continue
 		}
-		if ok && math.Float64bits(got) != math.Float64bits(tc.want) {
+		if !ok {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(tc.want) {
 			t.Errorf("ParseValueRow(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+		// Every accepted row decodes to encoding/json's exact bits.
+		var ref struct {
+			V float64 `json:"v"`
+		}
+		if err := json.Unmarshal([]byte(tc.in), &ref); err != nil {
+			t.Errorf("ParseValueRow(%q) ok but encoding/json errs: %v", tc.in, err)
+		} else if math.Float64bits(got) != math.Float64bits(ref.V) {
+			t.Errorf("ParseValueRow(%q) = %x, encoding/json %x", tc.in, math.Float64bits(got), math.Float64bits(ref.V))
 		}
 	}
 }
@@ -42,6 +58,9 @@ func TestParseLabeledRowMatchesJSON(t *testing.T) {
 		`{"x":[-1.5e2, 0.25],"y":-9}`,
 		` { "x" : [ 1 , 2 ] , "y" : 3 } `,
 		`{"x":[0.001],"y":98.765432}`,
+		`{"x":[1],"y":1e99}`, // beyond the exact fast path: strconv
+		`{"x":[12.345678901234567,-0.0012345678901234567],"y":3}`,
+		`{"x":[5e-324,1e-400,-0],"y":1.7976931348623157e308}`,
 	}
 	var scratch []float64
 	for _, in := range inputs {
@@ -75,7 +94,8 @@ func TestParseLabeledRowFallbacks(t *testing.T) {
 	for _, in := range []string{
 		`{"y":4,"x":[1]}`,         // non-canonical key order
 		`{"x":[1],"y":2,"z":3}`,   // extra member
-		`{"x":[1],"y":1e99}`,      // out of fast range
+		`{"x":[1],"y":1e400}`,     // range error (encoding/json rejects it too)
+		`{"x":[1e400],"y":1}`,     // range error in a feature
 		`{"x":[1]}`,               // missing y
 		`{"x":[1],"y":}`,          // malformed
 		`{"x":1,"y":2}`,           // x not an array

@@ -74,3 +74,26 @@ func TestWireBinDecodeZeroAlloc(t *testing.T) {
 		t.Fatalf("binary decode loop allocates %.2f allocs/op, want 0", allocs)
 	}
 }
+
+// TestParseLabeledRowFullPrecisionZeroAlloc: rows of 17-significant-digit
+// floats, which miss ParseFloat's exact fast path, decode through the
+// per-number strconv fallback without allocating, and none declines.
+func TestParseLabeledRowFullPrecisionZeroAlloc(t *testing.T) {
+	rows := make([][]byte, 256)
+	for i := range rows {
+		f := float64(i) + 1.0/3.0
+		rows[i] = AppendRowJSON(nil, []float64{f * 0.1234567, -f / 7, float64(i % 4)})
+	}
+	var x []float64
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, r := range rows {
+			var ok bool
+			if x, _, ok = ParseLabeledRow(r, x); !ok {
+				t.Fatalf("full-precision row %q declined", r)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("full-precision ParseLabeledRow allocates %.2f allocs/op, want 0", allocs)
+	}
+}
