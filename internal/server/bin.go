@@ -2,14 +2,8 @@ package server
 
 import (
 	"errors"
-	"io"
-	"net/http"
-	"strconv"
 	"strings"
-	"sync"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -39,249 +33,52 @@ func contentTypeIs(ct, want string) bool {
 	return strings.EqualFold(strings.TrimSpace(ct), want)
 }
 
-// isBin reports whether the Content-Type selects the binary path.
+// isBin reports whether the Content-Type selects the binary decoder.
 func isBin(ct string) bool { return contentTypeIs(ct, wire.BinContentType) }
 
-// binScratch is the per-request recyclable state of the binary path.
-type binScratch struct {
+// binDecoder takes the body a frame at a time: wire.NextFrameItems
+// validates every row of the frame and appends it to the batch verbatim
+// in self-describing item form — no number parsing, no JSON rendering.
+// Small frames are retained outright (the rows keep aliasing the frame's
+// payload buffer, zero copies); oversized frames get their rows interned
+// into the arena before the buffer is reused. Its failure position is
+// the rows decoded so far, plus the 1-based frame and that frame's
+// absolute byte offset.
+type binDecoder struct {
 	br    *wire.BinReader
-	batch []Item
+	arena itemArena
+	rows  int
 }
 
-var binPool = sync.Pool{
-	New: func() any {
-		return &binScratch{
-			br:    wire.NewBinReader(),
-			batch: make([]Item, 0, ndjsonChunkItems),
-		}
-	},
-}
-
-// handleItemsBin is the binary sibling of handleItemsNDJSON: same
-// chunked appends, same pipelined ?batch=N boundaries, same durability
-// acknowledgement. Malformed streams answer a structured 400 naming the
-// 1-based frame, the frame's absolute byte offset, the 1-based row and
-// the accepted count.
-//
-//tbs:walbeforeack
-func (s *Server) handleItemsBin(w http.ResponseWriter, r *http.Request, key string) {
-	q := r.URL.Query()
-	boundaryEvery := 0
-	if v := q.Get("batch"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody("bad_request", "batch must be a positive integer", nil))
-			return
-		}
-		boundaryEvery = n
-	}
-	finalAdvance := q.Get("advance") == "1" || q.Get("advance") == "true"
-
-	tr := s.opts.Trace.StartFromRequest(r, obs.KindIngest, key)
-	e, err := s.acquireStream(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		if code == "bad_request" {
-			status, code = http.StatusInternalServerError, "internal"
-		}
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	defer e.unpin()
-
-	sc := binPool.Get().(*binScratch)
-	defer func() {
-		sc.br.Reset(nil)
-		sc.batch = sc.batch[:0]
-		binPool.Put(sc)
-	}()
-	sc.br.Reset(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-
-	var (
-		arena      itemArena
-		added      int
-		boundaries uint64
-		rowNo      int
-		sinceAdv   int
-		pending    int
-		ingested   uint64
-		maxLSN     uint64
-	)
-	chunkSize := ndjsonChunkItems
-	if boundaryEvery > 0 && boundaryEvery <= maxAlignedChunkItems {
-		chunkSize = boundaryEvery
-	}
-	loopStart := time.Now()
-	var appendDur, enqDur time.Duration
-	// appendChunk commits the first n batched items. A whole-batch flush
-	// offers the array for adoption (the aligned fast path); a partial
-	// flush — a frame spanning several ?batch=N boundaries — appends a
-	// prefix and shifts the remainder down.
-	appendChunk := func(n int) error {
-		if n == 0 {
-			return nil
-		}
+func (d *binDecoder) fill(batch []Item, want int) ([]Item, error) {
+	for len(batch) < want {
+		n0 := len(batch)
+		var retained bool
 		var err error
-		var lsn uint64
-		var adopted bool
-		t0 := time.Now()
-		if n == len(sc.batch) {
-			pending, ingested, lsn, adopted, err = e.appendMode(sc.batch, s.opts.MaxPendingItems, true)
-		} else {
-			pending, ingested, lsn, adopted, err = e.appendMode(sc.batch[:n], s.opts.MaxPendingItems, false)
-		}
-		appendDur += time.Since(t0)
-		if err != nil {
-			return err
-		}
-		if lsn > maxLSN {
-			maxLSN = lsn
-		}
-		added += n
-		sinceAdv += n
-		switch {
-		case adopted:
-			if sc.batch = acquireBatchSlice(); sc.batch == nil {
-				sc.batch = make([]Item, 0, chunkSize)
-			}
-		case n == len(sc.batch):
-			sc.batch = sc.batch[:0]
-		default:
-			sc.batch = append(sc.batch[:0], sc.batch[n:]...)
-		}
-		return nil
-	}
-	stagesDone := false
-	recordStages := func() {
-		if stagesDone {
-			return
-		}
-		stagesDone = true
-		tr.StageDur(obs.StageWALAppend, loopStart, appendDur)
-		if enqDur > 0 {
-			tr.StageDur(obs.StageEnqueue, loopStart, enqDur)
-		}
-		tr.StageDur(obs.StageParse, loopStart, time.Since(loopStart)-appendDur-enqDur)
-	}
-	fail := func(err error) {
-		s.metrics.ObserveIngest(added)
-		recordStages()
-		fsyncStart := time.Now()
-		_ = s.syncWAL(maxLSN)
-		tr.StageSince(obs.StageFsyncWait, fsyncStart)
-		status, code, extra := s.ingestFailure(err)
-		if extra == nil {
-			extra = map[string]any{}
-		}
-		extra["added"] = added
-		extra["row"] = rowNo
-		// Frame/offset position the error inside the binary stream the
-		// way line/offset do for NDJSON; decode errors carry the exact
-		// frame, other failures report where decoding stood.
-		var be *wire.BinError
-		if errors.As(err, &be) {
-			extra["frame"] = be.Frame
-			extra["offset"] = be.Offset
-		} else {
-			extra["frame"] = sc.br.Frame()
-			extra["offset"] = sc.br.FrameOffset()
-		}
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
-	}
-
-	// The decode loop works a frame at a time: NextFrameItems validates
-	// every row of the frame and appends it to the batch verbatim in
-	// self-describing item form — no number parsing, no JSON rendering.
-	// Small frames are retained outright (the rows keep aliasing the
-	// frame's payload buffer, zero copies); oversized frames get their
-	// rows interned into the arena before the buffer is reused. Rows
-	// returned before a mid-frame error are good and are committed
-	// before the failure is reported.
-	for {
-		n0 := len(sc.batch)
-		retained, rerr := false, error(nil)
-		sc.batch, retained, rerr = wire.NextFrameItems(sc.br, sc.batch)
+		batch, retained, err = wire.NextFrameItems(d.br, batch)
 		if !retained {
-			for i := n0; i < len(sc.batch); i++ {
-				sc.batch[i] = arena.intern(sc.batch[i])
+			for i := n0; i < len(batch); i++ {
+				batch[i] = d.arena.intern(batch[i])
 			}
 		}
-		rowNo += len(sc.batch) - n0
-		for len(sc.batch) >= chunkSize {
-			if err := appendChunk(chunkSize); err != nil {
-				fail(err)
-				return
-			}
-			if boundaryEvery > 0 && sinceAdv >= boundaryEvery {
-				t0 := time.Now()
-				if lsn := s.advanceAsync(e, nil); lsn > maxLSN {
-					maxLSN = lsn
-				}
-				enqDur += time.Since(t0)
-				boundaries++
-				sinceAdv = 0
-				pending = 0
-			}
-		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				break
-			}
-			_ = appendChunk(len(sc.batch))
-			fail(rerr)
-			return
+		d.rows += len(batch) - n0
+		if err != nil {
+			return batch, err
 		}
 	}
-	if err := appendChunk(len(sc.batch)); err != nil {
-		fail(err)
-		return
-	}
-	// As in the NDJSON path: the final flush can complete a ?batch=N
-	// boundary when N exceeds the chunk size.
-	if boundaryEvery > 0 && sinceAdv >= boundaryEvery {
-		if lsn := s.advanceAsync(e, nil); lsn > maxLSN {
-			maxLSN = lsn
-		}
-		boundaries++
-		sinceAdv = 0
-		pending = 0
-	}
-	s.metrics.ObserveIngest(added)
-	recordStages()
-	if added == 0 {
-		pending, ingested, _ = e.counters()
-	}
+	return batch, nil
+}
 
-	resp := map[string]any{
-		"key":      key,
-		"added":    added,
-		"pending":  pending,
-		"ingested": ingested,
+// position reports a decode error's own frame; other failures report
+// where decoding stood.
+func (d *binDecoder) position(err error, extra map[string]any) {
+	extra["row"] = d.rows
+	var be *wire.BinError
+	if errors.As(err, &be) {
+		extra["frame"] = be.Frame
+		extra["offset"] = be.Offset
+	} else {
+		extra["frame"] = d.br.Frame()
+		extra["offset"] = d.br.FrameOffset()
 	}
-	if finalAdvance {
-		_, batches, _, lsn, aerr := s.advanceWait(e, tr)
-		if aerr != nil {
-			fail(aerr)
-			return
-		}
-		if lsn > maxLSN {
-			maxLSN = lsn
-		}
-		boundaries++
-		resp["pending"] = 0
-		resp["advanced"] = true
-		resp["batches"] = batches
-	}
-	if boundaries > 0 {
-		resp["boundaries"] = boundaries
-	}
-	fsyncStart := time.Now()
-	err = s.syncWAL(maxLSN)
-	tr.StageSince(obs.StageFsyncWait, fsyncStart)
-	if err != nil {
-		respond(tr, w, http.StatusInternalServerError, errorBody("wal_unavailable", err.Error(), nil))
-		return
-	}
-	respond(tr, w, http.StatusOK, resp)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"reflect"
 	"testing"
@@ -14,21 +13,7 @@ import (
 // postBin issues a raw x-tbs-bin ingest request.
 func (h *harness) postBin(path string, body []byte) (*http.Response, []byte) {
 	h.t.Helper()
-	req, err := http.NewRequest("POST", h.ts.URL+path, bytes.NewReader(body))
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.BinContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	return resp, data
+	return h.post(path, wire.BinContentType, body)
 }
 
 // TestBinIngest: binary rows land as canonical JSON items — a one-float

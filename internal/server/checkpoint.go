@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/atomicfile"
+	"repro/internal/obs"
+	"repro/internal/wal"
 	"repro/tbs"
 )
 
@@ -178,19 +181,6 @@ func (s *Server) restoreSnapshots() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Resolve the configured scheme's canonical name once: restoring a
-	// stream checkpointed under a different scheme would silently mix
-	// sampling semantics across tenants, so it fails boot instead.
-	info, err := tbs.Lookup(s.opts.Sampler.Scheme)
-	if err != nil {
-		return 0, err
-	}
-	// The WAL on disk ends here; a checkpoint claiming a higher LSN
-	// predates a wiped or foreign log and must not filter real records.
-	var bootLSN uint64
-	if s.wal != nil {
-		bootLSN = s.wal.LastLSN()
-	}
 	restored, quarantined := 0, 0
 	for _, de := range des {
 		if de.IsDir() {
@@ -200,12 +190,12 @@ func (s *Server) restoreSnapshots() (int, error) {
 		if !ok {
 			continue
 		}
-		err := s.restoreOne(dir, de.Name(), key, info.Name, bootLSN)
+		err := s.restoreOne(dir, de.Name(), key)
 		if err == nil {
 			restored++
 			continue
 		}
-		if s.opts.RestoreQuarantine && !errors.Is(err, errRestoreStrict) {
+		if s.opts.RestoreQuarantine && !restoreStrict(err) {
 			bad := filepath.Join(dir, de.Name())
 			if rerr := os.Rename(bad, bad+".corrupt"); rerr != nil {
 				return restored, fmt.Errorf("server: quarantine %s: %v (original error: %w)", de.Name(), rerr, err)
@@ -220,59 +210,75 @@ func (s *Server) restoreSnapshots() (int, error) {
 	return restored, nil
 }
 
-// errRestoreStrict marks restore failures that -restore-quarantine must
-// NOT paper over: a scheme mismatch is a server misconfiguration (every
-// tenant would be quarantined), and an I/O error says nothing about the
-// file's content.
-var errRestoreStrict = errors.New("restore: strict failure")
+// restoreStrict is boot's error classifier: it marks the restore
+// failures -restore-quarantine must NOT paper over. An I/O error says
+// nothing about the file's content, a scheme mismatch is a server
+// misconfiguration (every tenant would be quarantined), and a duplicate
+// stream is not the file's fault either.
+func restoreStrict(err error) bool {
+	return errors.As(err, new(*fs.PathError)) || errors.Is(err, errSchemeMismatch) || errors.Is(err, errStreamExists)
+}
 
 // restoreOne loads a single checkpoint file into the registry.
-func (s *Server) restoreOne(dir, name, key, scheme string, bootLSN uint64) error {
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return fmt.Errorf("%w: %v", errRestoreStrict, err)
+func (s *Server) restoreOne(dir, name, key string) error {
+	st, err := readCheckpointFile(filepath.Join(dir, name))
+	if err == nil {
+		var e *entry
+		if e, err = s.rebuild(key, st, nil, nil, time.Time{}, 0, 0); err == nil {
+			err = s.reg.insertRestored(e)
+		}
 	}
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("server: checkpoint file %s: %w", name, err)
-	}
-	if st.Key != key {
-		return fmt.Errorf("server: checkpoint file %s names key %q", name, st.Key)
-	}
-	if st.Snapshot.Scheme != scheme {
-		return fmt.Errorf("%w: checkpoint file %s holds scheme %q, but the server is configured for %q",
-			errRestoreStrict, name, st.Snapshot.Scheme, scheme)
-	}
-	if st.WalLSN > bootLSN {
-		st.WalLSN = bootLSN
-	}
-	e, err := s.entryFromState(st)
 	if err != nil {
 		return fmt.Errorf("server: checkpoint file %s: %w", name, err)
-	}
-	if err := s.reg.insertRestored(e); err != nil {
-		return fmt.Errorf("%w: %v", errRestoreStrict, err)
 	}
 	return nil
 }
 
-// entryFromState rebuilds a live entry from a checkpoint envelope: the
-// restored sampler, open batch and counters, the managed model, and an
-// in-order replay of boundaries that were closed but unapplied at
-// capture. Shared by boot restore and by stream adoption. The entry's
-// wal is left nil — replayed work must not be re-journaled — so the
-// caller attaches the log (enableWAL at boot, explicitly on adoption)
-// once replay has quiesced. The caller also validates the scheme first;
-// the two paths classify a mismatch differently (strict boot failure vs
-// a structured 409 to the handoff peer).
-func (s *Server) entryFromState(st checkpointState) (*entry, error) {
+// readCheckpointFile reads and decodes one stream's checkpoint file.
+func readCheckpointFile(path string) (st checkpointState, err error) {
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &st)
+	}
+	return st, err
+}
+
+// errSchemeMismatch marks saved state sampled under a scheme other than
+// the server's: restoring it would silently mix sampling semantics
+// across tenants.
+var errSchemeMismatch = errors.New("scheme mismatch")
+
+// rebuild turns a stream's saved state — a checkpoint file's, or a
+// handoff envelope's — plus the WAL records past it into a live entry.
+// It is the one restore routine of boot, hydration and adoption: they
+// differ only in where the state and tail come from, how the entry is
+// installed and how a failure is classified. The entry's wal is left
+// nil, so nothing restored or replayed is re-journaled; the caller
+// attaches the log once the entry is installed. tail, when non-nil,
+// yields the records past the state's WalLSN. tr, when non-nil, is
+// charged once per stage: restoreStage from start (the caller's read of
+// the state may come first) through the sampler, model and queued
+// boundaries, and replayStage for fetching and applying the tail and the
+// wait for any retrain it dispatched.
+func (s *Server) rebuild(key string, st checkpointState, tail func(walLSN uint64) ([]wal.Record, error),
+	tr *obs.Trace, start time.Time, restoreStage, replayStage int) (*entry, error) {
+	if st.Key != key {
+		return nil, fmt.Errorf("state names key %q, not %q", st.Key, key)
+	}
+	if st.Snapshot.Scheme != s.scheme {
+		return nil, fmt.Errorf("%w: state holds scheme %q, but the server is configured for %q",
+			errSchemeMismatch, st.Snapshot.Scheme, s.scheme)
+	}
+	// The WAL ends here; a state claiming a higher LSN predates a wiped
+	// or foreign log and must not filter real records.
+	st.WalLSN = min(st.WalLSN, s.lastLSN())
 	sampler, err := tbs.Restore[Item](st.Snapshot)
 	if err != nil {
 		return nil, err
 	}
 	cs := tbs.NewConcurrent(sampler)
 	e := &entry{
-		key:            st.Key,
+		key:            key,
 		sampler:        cs,
 		sampleMutating: tbs.SampleMutates[Item](cs),
 		pending:        st.Pending,
@@ -280,7 +286,7 @@ func (s *Server) entryFromState(st checkpointState) (*entry, error) {
 		batches:        st.Batches,
 		walLSN:         st.WalLSN,
 		durableLSN:     st.WalLSN,
-		// Boot restore and hydration read the envelope from the checkpoint
+		// Boot restore and hydration read the state from the checkpoint
 		// file; adoption persists one before the entry serves. In every
 		// case a file backs the entry by the time it could hibernate.
 		persisted: true,
@@ -309,5 +315,24 @@ func (s *Server) entryFromState(st checkpointState) (*entry, error) {
 		e.batches++
 		e.dirty = true // memory is now ahead of the on-disk state
 	}
+	tr.StageSince(restoreStage, start)
+	replayStart := time.Now()
+	var recs []wal.Record
+	if tail != nil {
+		if recs, err = tail(st.WalLSN); err != nil {
+			return nil, fmt.Errorf("read tail: %w", err)
+		}
+	}
+	for i, rec := range recs {
+		if err := s.applyReplayRecord(e, rec); err != nil {
+			return nil, fmt.Errorf("tail record %d: %w", i, err)
+		}
+	}
+	// Quiesce any retrain the replays dispatched before the entry becomes
+	// reachable, so its state is the deterministic post-boundary one.
+	if mm := e.model.Load(); mm != nil {
+		mm.waitIdle()
+	}
+	tr.StageSince(replayStage, replayStart)
 	return e, nil
 }

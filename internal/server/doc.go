@@ -17,9 +17,9 @@
 //     so unrelated streams never contend on one lock. Each entry holds a
 //     tbs.Concurrent sampler (read paths share its RLock) plus the open
 //     batch buffer, guarded by a per-entry mutex.
-//   - handlers: POST items (single or bulk JSON per request, or streaming
-//     NDJSON via Content-Type application/x-ndjson with pooled decode
-//     buffers and ?batch=N pipelined boundaries), POST advance,
+//   - handlers: POST items (one ingest loop over a buffered JSON body,
+//     streaming NDJSON and x-tbs-bin frames, with pooled decode buffers
+//     and ?batch=N pipelined boundaries for all three), POST advance,
 //     GET sample / stats, GET /v1/streams, GET /metrics, GET /healthz.
 //   - engine (internal/engine): closed batches are enqueued to key-affine
 //     shard workers with bounded mailboxes and applied off the request

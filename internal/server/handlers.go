@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -16,7 +14,8 @@ import (
 	"repro/tbs"
 )
 
-// maxBodyBytes bounds one ingest request (items are buffered in memory).
+// maxBodyBytes bounds one ingest request body (a JSON body is buffered
+// in memory whole).
 const maxBodyBytes = 32 << 20
 
 // maxKeyBytes bounds stream keys. Keys become checkpoint file names via
@@ -73,18 +72,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // movedGuard answers 421 Misdirected Request for a stream this node
-// handed off: the structured body names the new home so a stale client
-// (or a router without the override) can re-route instead of silently
-// recreating the stream here.
+// handed off (streamMovedError).
 func (s *Server) movedGuard(w http.ResponseWriter, key string) bool {
-	t, ok := s.moved.Load(key)
-	if !ok {
-		return false
+	err := s.reg.movedErr(key)
+	if err != nil {
+		s.fail(nil, w, err)
 	}
-	writeJSON(w, http.StatusMisdirectedRequest, errorBody("stream_moved",
-		fmt.Sprintf("stream %q was handed off to %s", key, t),
-		map[string]any{"key": key, "target": t}))
-	return true
+	return err != nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -95,6 +89,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// existingStream pins the stream a request names without creating it,
+// hydrating it if hibernated, or writes the answer for a bad key, a
+// failure, a handed-off key (421) or an unknown one (404). On ok the
+// caller must e.unpin().
+func (s *Server) existingStream(w http.ResponseWriter, r *http.Request) (*entry, bool) {
+	key, ok := streamKey(w, r)
+	if !ok {
+		return nil, false
+	}
+	e, err := s.acquireExisting(key)
+	if err != nil {
+		s.fail(nil, w, err)
+		return nil, false
+	}
+	if e == nil && !s.movedGuard(w, key) {
+		writeError(w, http.StatusNotFound, "unknown stream %q", key)
+	}
+	return e, e != nil
+}
+
 // respond is writeJSON for traced handlers: the response write is the
 // trace's ack stage, and the trace finishes with the response status.
 // tr may be nil (tracing off, or an untraced early-exit path).
@@ -103,6 +117,12 @@ func respond(tr *obs.Trace, w http.ResponseWriter, status int, v any) {
 	writeJSON(w, status, v)
 	tr.StageSince(obs.StageAck, ackStart)
 	tr.Finish(status)
+}
+
+// fail answers err with ingestFailure's status, code and context.
+func (s *Server) fail(tr *obs.Trace, w http.ResponseWriter, err error) {
+	status, code, extra := s.ingestFailure(err)
+	respond(tr, w, status, errorBody(code, err.Error(), extra))
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -126,9 +146,12 @@ func errorBody(code, msg string, extra map[string]any) map[string]any {
 // than retry; a transiently full open batch and the stream cap get 429.
 func (s *Server) ingestFailure(err error) (status int, code string, extra map[string]any) {
 	var tooLarge *http.MaxBytesError
+	var moved *streamMovedError
 	switch {
 	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge, "body_too_large", map[string]any{"limitBytes": tooLarge.Limit}
+	case errors.As(err, &moved):
+		return http.StatusMisdirectedRequest, "stream_moved", map[string]any{"key": moved.key, "target": moved.target}
 	case errors.Is(err, errRequestTooLarge):
 		return http.StatusRequestEntityTooLarge, "batch_limit", map[string]any{"limitItems": s.opts.MaxPendingItems}
 	case errors.Is(err, errBatchFull):
@@ -149,6 +172,8 @@ func (s *Server) ingestFailure(err error) (status int, code string, extra map[st
 		// Rehydrating the hibernated stream from its checkpoint + WAL tail
 		// failed; the stub is intact, so a retry re-attempts hydration.
 		return http.StatusInternalServerError, "hydrate_failed", nil
+	case errors.Is(err, errNewSampler):
+		return http.StatusInternalServerError, "internal", nil
 	default:
 		return http.StatusBadRequest, "bad_request", nil
 	}
@@ -168,125 +193,6 @@ func streamKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return key, true
 }
 
-// ingestRequest is the decoded body of POST …/items: a JSON array is a
-// bulk request (one element per item), any other JSON value is a single
-// item. To ingest one item that is itself an array, wrap it in an array.
-type ingestRequest struct {
-	items []Item
-}
-
-func decodeIngest(r *http.Request) (ingestRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return ingestRequest{}, fmt.Errorf("body exceeds %d bytes: %w", maxBodyBytes, err)
-		}
-		return ingestRequest{}, err
-	}
-	if !json.Valid(body) {
-		return ingestRequest{}, errors.New("body is not valid JSON")
-	}
-	// Only a JSON array is bulk; every other value — including null,
-	// which would also unmarshal into a nil slice — is one item.
-	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		var bulk []Item
-		if err := json.Unmarshal(body, &bulk); err != nil {
-			return ingestRequest{}, err
-		}
-		return ingestRequest{items: bulk}, nil
-	}
-	return ingestRequest{items: []Item{Item(body)}}, nil
-}
-
-// handleItems ingests into the stream's open batch. Two wire formats share
-// the route, switched on Content-Type: application/x-ndjson streams one
-// JSON value per line through the pooled streaming decoder (bulk path);
-// anything else is the buffered JSON path — a JSON array is bulk (one
-// element per item), any other JSON value is a single item. The whole
-// request is appended in batched critical sections, so a bulk POST is a
-// few batched hot-path operations, not N. With ?advance=true the batch is
-// closed afterwards.
-//
-//tbs:walbeforeack
-func (s *Server) handleItems(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
-	if !ok {
-		return
-	}
-	if s.movedGuard(w, key) {
-		return
-	}
-	ct := r.Header.Get("Content-Type")
-	if isNDJSON(ct) {
-		s.handleItemsNDJSON(w, r, key)
-		return
-	}
-	if isBin(ct) {
-		s.handleItemsBin(w, r, key)
-		return
-	}
-	tr := s.opts.Trace.StartFromRequest(r, obs.KindIngest, key)
-	parseStart := time.Now()
-	req, err := decodeIngest(r)
-	tr.StageSince(obs.StageParse, parseStart)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	e, err := s.acquireStream(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		if code == "bad_request" {
-			status, code = http.StatusInternalServerError, "internal"
-		}
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	defer e.unpin()
-	appendStart := time.Now()
-	pending, ingested, lsn, err := e.append(req.items, s.opts.MaxPendingItems)
-	tr.StageSince(obs.StageWALAppend, appendStart)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	s.metrics.ObserveIngest(len(req.items))
-
-	resp := map[string]any{
-		"key":      key,
-		"added":    len(req.items),
-		"pending":  pending,
-		"ingested": ingested,
-	}
-	if q := r.URL.Query().Get("advance"); q == "1" || q == "true" {
-		_, batches, _, blsn, err := s.advanceWait(e, tr)
-		if err != nil {
-			status, code, extra := s.ingestFailure(err)
-			respond(tr, w, status, errorBody(code, err.Error(), extra))
-			return
-		}
-		if blsn > lsn {
-			lsn = blsn
-		}
-		resp["pending"] = 0
-		resp["advanced"] = true
-		resp["batches"] = batches
-	}
-	// The 200 below acknowledges the items (and boundary): group-commit
-	// fsync first, so a crash after the acknowledgement cannot lose them.
-	fsyncStart := time.Now()
-	err = s.syncWAL(lsn)
-	tr.StageSince(obs.StageFsyncWait, fsyncStart)
-	if err != nil {
-		respond(tr, w, http.StatusInternalServerError, errorBody("wal_unavailable", err.Error(), nil))
-		return
-	}
-	respond(tr, w, http.StatusOK, resp)
-}
-
 // handleAdvance closes the stream's open batch — an explicit batch
 // boundary in the paper's sense. Advancing a stream that has received no
 // items is legal and still moves the decay clock; advancing an unknown
@@ -299,24 +205,16 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.movedGuard(w, key) {
-		return
-	}
 	e, err := s.acquireStream(key)
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		if code == "bad_request" {
-			status, code = http.StatusInternalServerError, "internal"
-		}
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		s.fail(nil, w, err)
 		return
 	}
 	defer e.unpin()
 	tr := s.opts.Trace.StartFromRequest(r, obs.KindIngest, key)
 	n, batches, elapsed, lsn, err := s.advanceWait(e, tr)
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
+		s.fail(tr, w, err)
 		return
 	}
 	fsyncStart := time.Now()
@@ -345,21 +243,8 @@ var sampleBufPool = sync.Pool{
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
+	e, ok := s.existingStream(w, r)
 	if !ok {
-		return
-	}
-	e, err := s.acquireExisting(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	if e == nil {
-		if s.movedGuard(w, key) {
-			return
-		}
-		writeError(w, http.StatusNotFound, "unknown stream %q", key)
 		return
 	}
 	defer e.unpin()
@@ -382,8 +267,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			sampleBufPool.Put(bufp)
-			status, code, extra := s.ingestFailure(err)
-			writeJSON(w, status, errorBody(code, err.Error(), extra))
+			s.fail(nil, w, err)
 			return
 		}
 	} else {
@@ -398,7 +282,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		items = []Item{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"key":    key,
+		"key":    e.key,
 		"scheme": e.sampler.Scheme(),
 		"size":   len(items),
 		"items":  items,
@@ -408,21 +292,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
+	e, ok := s.existingStream(w, r)
 	if !ok {
-		return
-	}
-	e, err := s.acquireExisting(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	if e == nil {
-		if s.movedGuard(w, key) {
-			return
-		}
-		writeError(w, http.StatusNotFound, "unknown stream %q", key)
 		return
 	}
 	defer e.unpin()
@@ -431,7 +302,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.flushStream(e)
 	pending, ingested, batches := e.counters()
 	resp := map[string]any{
-		"key":          key,
+		"key":          e.key,
 		"scheme":       e.sampler.Scheme(),
 		"expectedSize": e.sampler.ExpectedSize(),
 		"pending":      pending,
@@ -467,7 +338,7 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	// explicitly discarding this node's memory of the key, after which a
 	// new ingest may create a fresh stream here. Dropping the marker
 	// alone counts as a delete — there is no local entry behind it.
-	_, wasMoved := s.moved.LoadAndDelete(key)
+	_, wasMoved := s.reg.moved.LoadAndDelete(key)
 	existed, err := s.deleteStream(key)
 	if !existed && !wasMoved {
 		writeError(w, http.StatusNotFound, "unknown stream %q", key)

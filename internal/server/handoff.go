@@ -8,14 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
-	"repro/tbs"
 )
 
 // Stream migration: POST /v1/streams/{key}/handoff?target=http://host:port
@@ -33,16 +30,16 @@ import (
 //  3. POST the envelope to the target's /adopt; any failure unfreezes
 //     the stream and reports a structured 502 — the source remains the
 //     owner
-//  4. on 200: journal a deletion tombstone (durable before the
-//     checkpoint file is unlinked, mirroring DELETE), drop the entry,
-//     and record the moved marker so stale clients get 421 with the new
-//     home instead of silently recreating the stream here
+//  4. on 200: record the moved marker so stale clients get 421 with the
+//     new home instead of silently recreating the stream here, then
+//     journal a deletion tombstone (durable before the checkpoint file
+//     is unlinked, mirroring DELETE) and drop the entry
 //
-// Target side (handleAdopt): rebuild the entry through the boot-restore
-// path (entryFromState + applyReplayRecord for the tail), rebase its LSN
-// bookkeeping into the local WAL's space, persist a checkpoint BEFORE
-// the entry starts serving — adoption must survive an immediate kill —
-// and only then attach the local WAL and unfreeze.
+// Target side (handleAdopt): rebuild the entry and its tail through
+// boot's restore routine (rebuild), rebase its LSN bookkeeping into the
+// local WAL's space, persist a checkpoint BEFORE the entry starts
+// serving — adoption must survive an immediate kill — and only then
+// attach the local WAL and unfreeze.
 
 // handoffEnvelope is the migration wire format: the stream's checkpoint
 // envelope (the PR 5 restore format, so adoption is exactly a restore)
@@ -150,8 +147,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	// never evicted, so the pin only needs to bridge that gap).
 	e, err := s.acquireExisting(key)
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
+		s.fail(tr, w, err)
 		return
 	}
 	if e == nil {
@@ -177,6 +173,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if !success {
 			e.endMigration()
+			s.metrics.ObserveHandoffError()
 		}
 	}()
 
@@ -186,7 +183,6 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	s.flushStream(e)
 	st, err := e.captureState()
 	if err != nil {
-		s.metrics.ObserveHandoffOut(false)
 		respond(tr, w, http.StatusInternalServerError, errorBody("handoff_capture", err.Error(), nil))
 		return
 	}
@@ -194,7 +190,6 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if s.wal != nil {
 		recs, err := s.wal.TailForKey(key, st.WalLSN)
 		if err != nil {
-			s.metrics.ObserveHandoffOut(false)
 			respond(tr, w, http.StatusInternalServerError, errorBody("handoff_tail", err.Error(), nil))
 			return
 		}
@@ -203,14 +198,12 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	payload, err := json.Marshal(handoffEnvelope{State: st, Tail: tail, From: s.opts.Advertise})
 	tr.StageSince(obs.StageCapture, captureStart)
 	if err != nil {
-		s.metrics.ObserveHandoffOut(false)
 		respond(tr, w, http.StatusInternalServerError, errorBody("handoff_encode", err.Error(), nil))
 		return
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		target+"/v1/streams/"+url.PathEscape(key)+"/adopt", bytes.NewReader(payload))
 	if err != nil {
-		s.metrics.ObserveHandoffOut(false)
 		respond(tr, w, http.StatusBadRequest, errorBody("bad_request", err.Error(), nil))
 		return
 	}
@@ -224,7 +217,6 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	resp, err := handoffClient.Do(req)
 	tr.StageSince(obs.StageShip, shipStart)
 	if err != nil {
-		s.metrics.ObserveHandoffOut(false)
 		respond(tr, w, http.StatusBadGateway, errorBody("target_unreachable",
 			fmt.Sprintf("shipping stream %q to %s: %v", key, target, err),
 			map[string]any{"target": target}))
@@ -233,41 +225,27 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	defer resp.Body.Close()
 	rbody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode != http.StatusOK {
-		s.metrics.ObserveHandoffOut(false)
 		respond(tr, w, http.StatusBadGateway, errorBody("handoff_rejected",
 			fmt.Sprintf("target %s answered %d: %s", target, resp.StatusCode, strings.TrimSpace(string(rbody))),
 			map[string]any{"target": target, "targetStatus": resp.StatusCode}))
 		return
 	}
 
-	// The target owns the stream now. Tombstone, removal and unlink
-	// mirror deleteStream's crash-safe ordering: journal the tombstone,
-	// make it durable, only then unlink the checkpoint file — so a crash
-	// at any point leaves either a tombstone that finishes the job on
-	// replay, or the untouched pre-handoff state it supersedes; never a
-	// WAL tail that could resurrect a partial copy of a moved stream.
+	// The target owns the stream now. The moved marker goes first: a
+	// request that passed movedGuard and acquires the key after the
+	// removal meets it in getOrCreate instead of recreating an empty
+	// stream here. The tombstone is DELETE's, with its crash-safe
+	// ordering: journal it, make it durable, only then unlink the
+	// checkpoint file — so a crash at any point leaves either a tombstone
+	// that finishes the job on replay, or the untouched pre-handoff state
+	// it supersedes; never a WAL tail that could resurrect a partial copy
+	// of a moved stream.
 	commitStart := time.Now()
-	var lsn uint64
-	var jerr error
-	e.mu.Lock()
-	e.deleted = true
-	if e.wal != nil {
-		if lsn, jerr = e.wal.AppendRecord(wal.TypeStreamDelete, key, nil); jerr != nil {
-			jerr = fmt.Errorf("journal handoff tombstone: %w", jerr)
-		}
-	}
-	e.mu.Unlock()
-	s.reg.remove(key)
-	jerr = errors.Join(jerr, s.syncWAL(lsn))
-	if dir := s.opts.CheckpointDir; dir != "" {
-		if err := os.Remove(filepath.Join(dir, checkpointFileName(key))); err != nil && !errors.Is(err, os.ErrNotExist) {
-			jerr = errors.Join(jerr, err)
-		}
-	}
-	s.moved.Store(key, target)
+	s.reg.moved.Store(key, target)
+	jerr := s.tombstone(e)
 	success = true
 	tr.StageSince(obs.StageCommit, commitStart)
-	s.metrics.ObserveHandoffOut(true)
+	s.metrics.ObserveHandoffOut()
 	s.opts.Logger.Info("handoff: stream shipped",
 		"key", key, "target", target, "items", st.Ingested, "batches", st.Batches,
 		"tailRecords", len(tail), "trace", tr.TraceID())
@@ -288,7 +266,8 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	respond(tr, w, http.StatusOK, body)
 }
 
-// handleAdopt is the target side of a stream migration.
+// handleAdopt is the target side of a stream migration: rebuild the
+// envelope's stream, then install it (installAdopted).
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	key, ok := streamKey(w, r)
 	if !ok {
@@ -296,102 +275,33 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := s.opts.Trace.StartFromRequest(r, obs.KindAdopt, key)
 	restoreStart := time.Now()
+	var env handoffEnvelope
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAdoptBytes))
+	if err == nil {
+		err = json.Unmarshal(data, &env)
+	}
+	var e *entry
+	if err == nil {
+		// Source LSNs were stripped at export: the tail applies in slice
+		// order.
+		tail := func(uint64) ([]wal.Record, error) {
+			recs := make([]wal.Record, len(env.Tail))
+			for i, wr := range env.Tail {
+				recs[i] = wr.toRecord(key)
+			}
+			return recs, nil
+		}
+		e, err = s.rebuild(key, env.State, tail, tr, restoreStart, obs.StageRestore, obs.StageReplay)
+	}
+	if err == nil {
+		err = s.installAdopted(e, tr)
+	}
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
+		status, code, extra := s.adoptFailure(err, env)
 		respond(tr, w, status, errorBody(code, err.Error(), extra))
 		return
 	}
-	var env handoffEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		respond(tr, w, http.StatusBadRequest, errorBody("bad_envelope", err.Error(), nil))
-		return
-	}
-	if env.State.Key != key {
-		respond(tr, w, http.StatusBadRequest, errorBody("bad_envelope",
-			fmt.Sprintf("envelope names key %q, URL names %q", env.State.Key, key), nil))
-		return
-	}
-	// Same strictness as boot restore: adopting a stream sampled under a
-	// different scheme would silently mix sampling semantics.
-	info, err := tbs.Lookup(s.opts.Sampler.Scheme)
-	if err != nil {
-		respond(tr, w, http.StatusInternalServerError, errorBody("internal", err.Error(), nil))
-		return
-	}
-	if env.State.Snapshot.Scheme != info.Name {
-		respond(tr, w, http.StatusConflict, errorBody("scheme_mismatch",
-			fmt.Sprintf("envelope holds scheme %q, this node runs %q", env.State.Snapshot.Scheme, info.Name),
-			map[string]any{"envelopeScheme": env.State.Snapshot.Scheme, "nodeScheme": info.Name}))
-		return
-	}
-	e, err := s.entryFromState(env.State)
-	tr.StageSince(obs.StageRestore, restoreStart)
-	if err != nil {
-		respond(tr, w, http.StatusBadRequest, errorBody("bad_envelope", err.Error(), nil))
-		return
-	}
-	// Replay the source's WAL tail through the boot-replay code. The
-	// entry's wal is still nil, so nothing is re-journaled; source LSNs
-	// were stripped at export (the records apply in slice order).
-	replayStart := time.Now()
-	for i, wr := range env.Tail {
-		if err := s.applyReplayRecord(e, wr.toRecord(key)); err != nil {
-			respond(tr, w, http.StatusBadRequest, errorBody("bad_envelope",
-				fmt.Sprintf("tail record %d: %v", i, err), nil))
-			return
-		}
-	}
-	// Quiesce any retrain the queued/tail replay dispatched before the
-	// entry becomes reachable, mirroring restoreAll's ordering.
-	if mm := e.model.Load(); mm != nil {
-		mm.waitIdle()
-	}
-	tr.StageSince(obs.StageReplay, replayStart)
-	// Rebase the LSN bookkeeping into this node's WAL space: everything
-	// adopted is captured in the entry state, not in the local log, so
-	// boot replay must skip every local record at or below this point —
-	// including any records a previous tenancy of the same key left
-	// behind, whose tombstone this rebase also neutralizes.
-	var adoptedLSN uint64
-	if s.wal != nil {
-		adoptedLSN = s.wal.LastLSN()
-	}
-	e.walLSN, e.durableLSN = adoptedLSN, adoptedLSN
-	e.dirty = true
-	// Insert frozen: the entry is visible (and readable) immediately, but
-	// mutations stay rejected until the adopted state is durable below —
-	// an acknowledged write before that could be lost by a crash, with
-	// the source's copy already tombstoned.
-	e.migrating = true
-	if err := s.reg.insertRestored(e); err != nil {
-		respond(tr, w, http.StatusConflict, errorBody("stream_exists",
-			fmt.Sprintf("stream %q already exists on this node", key), nil))
-		return
-	}
-	persistStart := time.Now()
-	if dir := s.opts.CheckpointDir; dir != "" {
-		st, err := e.captureState()
-		if err == nil {
-			err = writeCheckpointFile(dir, st)
-		}
-		if err != nil {
-			// Refuse the adoption: the source still owns the stream (it
-			// only tombstones on 200), so dropping the half-adopted entry
-			// is safe — it was frozen, nothing was acknowledged.
-			s.reg.remove(key)
-			s.metrics.ObserveHandoffOut(false)
-			respond(tr, w, http.StatusServiceUnavailable, errorBody("adopt_persist_failed", err.Error(), nil))
-			return
-		}
-	}
-	// Durable: attach the local WAL and open for business.
-	e.mu.Lock()
-	e.wal = s.wal
-	e.migrating = false
-	e.mu.Unlock()
-	tr.StageSince(obs.StagePersist, persistStart)
-	s.moved.Delete(key)
+	s.reg.moved.Delete(key)
 	s.metrics.ObserveHandoffIn()
 	// Adoption added a resident stream outside the create path; trim
 	// promptly if it pushed the node over its resident bound.
@@ -409,4 +319,69 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		"batches":      batches,
 		"tailReplayed": len(env.Tail),
 	})
+}
+
+// errAdoptPersist marks an adoption refused because its checkpoint could
+// not be written.
+var errAdoptPersist = errors.New("persisting the adopted stream failed")
+
+// installAdopted installs a rebuilt adopted entry: it rebases the LSNs,
+// inserts the entry frozen, persists it and only then attaches the
+// local WAL. On failure nothing stays installed.
+func (s *Server) installAdopted(e *entry, tr *obs.Trace) error {
+	// Rebase the LSN bookkeeping into this node's WAL space: everything
+	// adopted is captured in the entry state, not in the local log, so
+	// boot replay must skip every local record at or below this point —
+	// including any records a previous tenancy of the same key left
+	// behind, whose tombstone this rebase also neutralizes.
+	e.walLSN = s.lastLSN()
+	e.durableLSN = e.walLSN
+	e.dirty = true
+	// Insert frozen: the entry is visible (and readable) immediately, but
+	// mutations stay rejected until the adopted state is durable below —
+	// an acknowledged write before that could be lost by a crash, with
+	// the source's copy already tombstoned.
+	e.migrating = true
+	if err := s.reg.insertRestored(e); err != nil {
+		return err
+	}
+	persistStart := time.Now()
+	if dir := s.opts.CheckpointDir; dir != "" {
+		st, err := e.captureState()
+		if err == nil {
+			err = writeCheckpointFile(dir, st)
+		}
+		if err != nil {
+			// Refuse the adoption: the source still owns the stream (it
+			// only tombstones on 200), so dropping the half-adopted entry
+			// is safe — it was frozen, nothing was acknowledged.
+			s.reg.remove(e.key)
+			return fmt.Errorf("%w: %v", errAdoptPersist, err)
+		}
+	}
+	// Durable: attach the local WAL and open for business.
+	e.mu.Lock()
+	e.wal = s.wal
+	e.migrating = false
+	e.mu.Unlock()
+	tr.StageSince(obs.StagePersist, persistStart)
+	return nil
+}
+
+// adoptFailure is adoption's error classifier. It counts every failed
+// adoption once, in the handoff error counter the source side shares.
+func (s *Server) adoptFailure(err error, env handoffEnvelope) (status int, code string, extra map[string]any) {
+	s.metrics.ObserveHandoffError()
+	switch {
+	case errors.Is(err, errSchemeMismatch):
+		return http.StatusConflict, "scheme_mismatch",
+			map[string]any{"envelopeScheme": env.State.Snapshot.Scheme, "nodeScheme": s.scheme}
+	case errors.Is(err, errStreamExists):
+		return http.StatusConflict, "stream_exists", nil
+	case errors.Is(err, errAdoptPersist):
+		return http.StatusServiceUnavailable, "adopt_persist_failed", nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return s.ingestFailure(err)
+	}
+	return http.StatusBadRequest, "bad_envelope", nil
 }

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -205,8 +209,59 @@ func TestHandoffErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHandoffRefusesInFlightIngest: an NDJSON request that passed the
+// moved check before a handoff committed, and reaches its first append
+// only after it, is refused with 421 — it must not recreate an empty
+// stream on the source that every later request would meet with 421.
+func TestHandoffRefusesInFlightIngest(t *testing.T) {
+	src := newHarness(t, handoffOpts(t.TempDir(), 5))
+	dst := newHarness(t, handoffOpts(t.TempDir(), 5))
+	const key = "pipe-k"
+	src.driveStream(key, 1, 2)
+
+	pr, pw := io.Pipe()
+	defer pw.Close() // unblocks the handler if the test stops early
+	req := httptest.NewRequest("POST", "/v1/streams/"+key+"/items", pr)
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		src.srv.Handler().ServeHTTP(rec, req)
+	}()
+	// The pipe hands over the first line only once the handler reads it,
+	// so the handoff commits while the request is past its moved check
+	// but, one line being short of a chunk, holds no stream yet.
+	if _, err := io.WriteString(pw, "1\n"); err != nil {
+		t.Fatal(err)
+	}
+	src.handoff(key, dst.ts.URL, http.StatusOK)
+	if _, err := io.WriteString(pw, "2\n"); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-done
+
+	var out map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("in-flight ingest: %v: %s", err, rec.Body)
+	}
+	if rec.Code != http.StatusMisdirectedRequest || out["code"] != "stream_moved" ||
+		out["target"] != dst.ts.URL || out["added"] != float64(0) {
+		t.Fatalf("in-flight ingest answered %d %v, want 421 stream_moved naming the target, added 0", rec.Code, out)
+	}
+	var list struct {
+		Streams []string `json:"streams"`
+	}
+	src.do("GET", "/v1/streams", nil, http.StatusOK, &list)
+	if len(list.Streams) != 0 {
+		t.Errorf("source lists %v after the handoff, want none", list.Streams)
+	}
+}
+
 // TestAdoptRejectsBadEnvelopes: the adopt endpoint validates key match
-// and envelope shape.
+// and envelope shape, and counts each refused adoption once in
+// tbsd_handoff_errors_total.
 func TestAdoptRejectsBadEnvelopes(t *testing.T) {
 	h := newHarness(t, handoffOpts(t.TempDir(), 5))
 	var out map[string]any
@@ -216,6 +271,9 @@ func TestAdoptRejectsBadEnvelopes(t *testing.T) {
 		t.Errorf("key mismatch: code = %v", out["code"])
 	}
 	h.do("POST", "/v1/streams/k/adopt", "not an envelope", http.StatusBadRequest, nil)
+	if !strings.Contains(h.get("/metrics"), "\ntbsd_handoff_errors_total 2\n") {
+		t.Error("two refused adoptions did not count 2 in tbsd_handoff_errors_total")
+	}
 }
 
 // TestDeleteClearsMovedMarker: DELETE on a moved key is the operator

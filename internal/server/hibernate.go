@@ -1,15 +1,14 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // Memory tiering: streams the server has seen but nobody is touching do
@@ -23,11 +22,11 @@ import (
 //     only the key and its WAL positions; the full state lives in the
 //     stream's checkpoint file, written at eviction if stale
 //   - any request touching a cold key rehydrates it lazily
-//     (ensureResident → hydrate): read the checkpoint file, rebuild
-//     through the boot-restore path (entryFromState), replay the WAL
-//     tail past the file's WalLSN, and install the state back into the
-//     stub — exactly the crash-recovery path, so a hydrated stream
-//     resumes the identical stochastic process
+//     (ensureResident → hydrate): read the checkpoint file and the WAL
+//     tail past its WalLSN, rebuild both through boot's restore routine
+//     (rebuild), and install the state back into the stub — exactly the
+//     crash-recovery path, so a hydrated stream resumes the identical
+//     stochastic process
 //
 // Victim selection is LRU over a per-entry touch clock (entry.lastTouch,
 // stamped by every pin) with two triggers: a resident-count bound
@@ -139,7 +138,9 @@ func (s *Server) ensureResident(e *entry) error {
 // hydrate rebuilds a hibernated entry from its checkpoint file and the
 // WAL records past the file's WalLSN — the boot-restore path, run for
 // one stream on demand. Called by the single request that claimed the
-// entry's hydration slot; it clears e.hyd in every outcome.
+// entry's hydration slot; it clears e.hyd in every outcome. Every
+// failure is classified 500 hydrate_failed (errHydrateFailed), and the
+// stub stays intact for a retry.
 func (s *Server) hydrate(e *entry) (err error) {
 	start := time.Now()
 	tr := s.opts.Trace.Start(obs.KindHydrate, e.key)
@@ -151,59 +152,27 @@ func (s *Server) hydrate(e *entry) (err error) {
 		}
 		tr.Finish(status)
 	}()
-	fail := func(ferr error) error {
-		e.mu.Lock()
-		e.hyd = nil
-		e.mu.Unlock()
-		return fmt.Errorf("%w: stream %q: %v", errHydrateFailed, e.key, ferr)
-	}
-
 	readStart := time.Now()
-	data, rerr := os.ReadFile(filepath.Join(s.opts.CheckpointDir, checkpointFileName(e.key)))
+	st, err := readCheckpointFile(filepath.Join(s.opts.CheckpointDir, checkpointFileName(e.key)))
 	tr.StageSince(obs.StageReadCkpt, readStart)
-	if rerr != nil {
-		return fail(rerr)
-	}
-	var st checkpointState
-	if uerr := json.Unmarshal(data, &st); uerr != nil {
-		return fail(uerr)
-	}
-	if st.Key != e.key {
-		return fail(fmt.Errorf("checkpoint file names key %q", st.Key))
-	}
-
-	// Rebuild on a scratch entry, outside e.mu: entryFromState replays
-	// queued boundaries (and the tail replay below re-runs full model
-	// steps), none of which may hold the stub's lock. The scratch entry's
-	// wal is nil, so nothing replayed is re-journaled.
-	restoreStart := time.Now()
-	scratch, serr := s.entryFromState(st)
-	tr.StageSince(obs.StageHydrateRestore, restoreStart)
-	if serr != nil {
-		return fail(serr)
-	}
-	replayStart := time.Now()
+	var tail func(uint64) ([]wal.Record, error)
 	if s.wal != nil {
-		recs, terr := s.wal.TailForKey(e.key, st.WalLSN)
-		if terr != nil {
-			return fail(terr)
-		}
-		for i, rec := range recs {
-			if aerr := s.applyReplayRecord(scratch, rec); aerr != nil {
-				return fail(fmt.Errorf("tail record %d: %w", i, aerr))
-			}
-		}
+		tail = func(lsn uint64) ([]wal.Record, error) { return s.wal.TailForKey(e.key, lsn) }
 	}
-	// Quiesce any retrain the replay dispatched before the state becomes
-	// reachable, mirroring restoreAll's ordering.
-	if mm := scratch.model.Load(); mm != nil {
-		mm.waitIdle()
+	// Rebuild on a scratch entry, outside e.mu: the queued-boundary and
+	// tail replays re-run full model steps, none of which may hold the
+	// stub's lock.
+	var scratch *entry
+	if err == nil {
+		scratch, err = s.rebuild(e.key, st, tail, tr, time.Now(), obs.StageHydrateRestore, obs.StageHydrateReplay)
 	}
-	tr.StageSince(obs.StageHydrateReplay, replayStart)
-
 	installStart := time.Now()
 	e.mu.Lock()
 	e.hyd = nil
+	if err != nil {
+		e.mu.Unlock()
+		return fmt.Errorf("%w: stream %q: %v", errHydrateFailed, e.key, err)
+	}
 	if e.deleted {
 		// Lost a race with DELETE: the tombstone wins, the rebuilt state
 		// is discarded, and the caller observes the deletion.
@@ -213,23 +182,18 @@ func (s *Server) hydrate(e *entry) (err error) {
 	e.sampler = scratch.sampler
 	e.sampleMutating = scratch.sampleMutating
 	e.pending = scratch.pending
-	e.queued = scratch.queued
 	e.ingested = scratch.ingested
 	e.batches = scratch.batches
 	e.dirty = scratch.dirty
 	e.persisted = true
 	e.walLSN = scratch.walLSN
-	if st.WalLSN > e.durableLSN {
-		e.durableLSN = st.WalLSN
-	}
+	e.durableLSN = max(e.durableLSN, scratch.durableLSN)
 	if mm := scratch.model.Load(); mm != nil {
 		// Rebind the swap journal hook to the live entry (the scratch
 		// entry it was built against is discarded here).
 		mm.onSwap = e.journalSwapRecord
-		e.model.Store(mm)
-	} else {
-		e.model.Store(nil)
 	}
+	e.model.Store(scratch.model.Load())
 	e.hibernated.Store(false)
 	e.mu.Unlock()
 	s.reg.resident.Add(1)

@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/tbs"
 )
 
 // tieredOptions is the standard memory-tiering test config: WAL on (so
@@ -89,6 +92,59 @@ func sampleEqual(a, b sampleResp) bool {
 		}
 	}
 	return true
+}
+
+// TestHydrateRunsBootChecks: hydration runs boot's restore checks. With a
+// hibernated R-TBS stream's checkpoint file swapped for a T-TBS one, the
+// cold hit answers 500 hydrate_failed, counts one hydration error and
+// leaves the stub hibernated; once the right file is back, the next
+// request hydrates.
+func TestHydrateRunsBootChecks(t *testing.T) {
+	h := newHarness(t, tieredOptions(t, 21))
+	h.driveStream("swap", 1, 3)
+	want := h.stats("swap")
+	if _, err := h.srv.HibernatePass(); err != nil {
+		t.Fatal(err)
+	}
+	otherDir := t.TempDir()
+	other := newHarness(t, Options{
+		Sampler: tbs.Config{Scheme: "ttbs", Lambda: ptr(0.1), MaxSize: ptr(40),
+			MeanBatch: ptr(20.0), Seed: ptr(uint64(21))},
+		CheckpointDir: otherDir,
+	})
+	other.driveStream("swap", 1, 3)
+	other.close()
+	file := filepath.Join(h.srv.opts.CheckpointDir, checkpointFileName("swap"))
+	good, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttbs, err := os.ReadFile(filepath.Join(otherDir, checkpointFileName("swap")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, ttbs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out map[string]any
+	h.do("GET", "/v1/streams/swap/stats", nil, http.StatusInternalServerError, &out)
+	if out["code"] != "hydrate_failed" {
+		t.Errorf("cold hit on a T-TBS checkpoint: code %v, want hydrate_failed", out["code"])
+	}
+	if !strings.Contains(h.get("/metrics"), "\ntbsd_hydration_errors_total 1\n") {
+		t.Error("tbsd_hydration_errors_total did not rise to 1")
+	}
+	if e := h.srv.reg.lookup("swap"); e == nil || !e.hibernated.Load() {
+		t.Fatal("the failed hydration did not leave the stub hibernated")
+	}
+
+	if err := os.WriteFile(file, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.stats("swap"); got != want {
+		t.Fatalf("stats after the right file is back: %+v, want %+v", got, want)
+	}
 }
 
 // TestHibernatePausesDecayClock checks the documented semantics: the
@@ -316,7 +372,7 @@ func TestMillionStreamSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("key %s: %v", key, err)
 		}
-		if _, _, _, err := e.append(item, srv.opts.MaxPendingItems); err != nil {
+		if _, _, _, _, err := e.appendMode(item, srv.opts.MaxPendingItems, false); err != nil {
 			e.unpin()
 			t.Fatalf("key %s: %v", key, err)
 		}

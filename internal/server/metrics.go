@@ -62,18 +62,15 @@ func (m *Metrics) SetReady(v bool) { m.ready.Store(v) }
 // Ready reports the /readyz gate.
 func (m *Metrics) Ready() bool { return m.ready.Load() }
 
-// ObserveHandoffOut records one stream handed off to another node (or a
-// failed attempt).
-func (m *Metrics) ObserveHandoffOut(ok bool) {
-	if ok {
-		m.handoffsOut.Add(1)
-	} else {
-		m.handoffErrors.Add(1)
-	}
-}
+// ObserveHandoffOut records one stream handed off to another node.
+func (m *Metrics) ObserveHandoffOut() { m.handoffsOut.Add(1) }
 
 // ObserveHandoffIn records one stream adopted from another node.
 func (m *Metrics) ObserveHandoffIn() { m.handoffsIn.Add(1) }
+
+// ObserveHandoffError records one failed handoff, on either side: a
+// source whose shipment failed or a target that refused an adoption.
+func (m *Metrics) ObserveHandoffError() { m.handoffErrors.Add(1) }
 
 // ObserveTickerLag records n wall-clock ticks the batch-time ticker had
 // to coalesce because an AdvanceAll pass outlasted the interval.

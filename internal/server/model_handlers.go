@@ -29,16 +29,12 @@ import (
 //tbs:walbeforeack
 func (s *Server) handleModelAttach(w http.ResponseWriter, r *http.Request) {
 	key, ok := streamKey(w, r)
-	if !ok {
-		return
-	}
-	if s.movedGuard(w, key) {
+	if !ok || s.movedGuard(w, key) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		s.fail(nil, w, err)
 		return
 	}
 	var spec ModelSpec
@@ -54,11 +50,7 @@ func (s *Server) handleModelAttach(w http.ResponseWriter, r *http.Request) {
 	}
 	e, err := s.acquireStream(key)
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		if code == "bad_request" {
-			status, code = http.StatusInternalServerError, "internal"
-		}
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		s.fail(nil, w, err)
 		return
 	}
 	defer e.unpin()
@@ -73,8 +65,7 @@ func (s *Server) handleModelAttach(w http.ResponseWriter, r *http.Request) {
 		err = s.syncWAL(lsn)
 	}
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		s.fail(nil, w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"key": key, "attached": true, "spec": spec})
@@ -84,24 +75,16 @@ func (s *Server) handleModelAttach(w http.ResponseWriter, r *http.Request) {
 // response when either is missing. On ok the returned entry is pinned
 // (and hydrated if it was hibernated) — the caller must e.unpin(); on
 // !ok no pin is held.
-func (s *Server) modelFor(w http.ResponseWriter, key string) (*entry, *managedModel, bool) {
-	e, err := s.acquireExisting(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
-		return nil, nil, false
-	}
-	if e == nil {
-		if !s.movedGuard(w, key) {
-			writeError(w, http.StatusNotFound, "unknown stream %q", key)
-		}
+func (s *Server) modelFor(w http.ResponseWriter, r *http.Request) (*entry, *managedModel, bool) {
+	e, ok := s.existingStream(w, r)
+	if !ok {
 		return nil, nil, false
 	}
 	mm := e.model.Load()
 	if mm == nil {
 		e.unpin()
 		writeJSON(w, http.StatusNotFound,
-			errorBody("no_model", fmt.Sprintf("stream %q has no model attached", key), nil))
+			errorBody("no_model", fmt.Sprintf("stream %q has no model attached", e.key), nil))
 		return nil, nil, false
 	}
 	return e, mm, true
@@ -109,37 +92,21 @@ func (s *Server) modelFor(w http.ResponseWriter, key string) (*entry, *managedMo
 
 // handleModelGet reports the spec and stats of the attached model.
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
-	if !ok {
-		return
-	}
-	e, mm, ok := s.modelFor(w, key)
+	e, mm, ok := s.modelFor(w, r)
 	if !ok {
 		return
 	}
 	defer e.unpin()
 	s.flushStream(e)
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "spec": mm.spec, "stats": mm.stats()})
+	writeJSON(w, http.StatusOK, map[string]any{"key": e.key, "spec": mm.spec, "stats": mm.stats()})
 }
 
 // handleModelDetach removes the stream's managed model.
 //
 //tbs:walbeforeack
 func (s *Server) handleModelDetach(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
+	e, ok := s.existingStream(w, r)
 	if !ok {
-		return
-	}
-	e, err := s.acquireExisting(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	if e == nil {
-		if !s.movedGuard(w, key) {
-			writeError(w, http.StatusNotFound, "unknown stream %q", key)
-		}
 		return
 	}
 	defer e.unpin()
@@ -148,11 +115,10 @@ func (s *Server) handleModelDetach(w http.ResponseWriter, r *http.Request) {
 		err = s.syncWAL(lsn)
 	}
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		s.fail(nil, w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "detached": had})
+	writeJSON(w, http.StatusOK, map[string]any{"key": e.key, "detached": had})
 }
 
 // handleModelStats reports the model's observable state. It applies
@@ -160,18 +126,14 @@ func (s *Server) handleModelDetach(w http.ResponseWriter, r *http.Request) {
 // the numbers are the deterministic state after every acknowledged
 // boundary — the read the kill+restart e2e compares across a restart.
 func (s *Server) handleModelStats(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
-	if !ok {
-		return
-	}
-	e, mm, ok := s.modelFor(w, key)
+	e, mm, ok := s.modelFor(w, r)
 	if !ok {
 		return
 	}
 	defer e.unpin()
 	s.flushStream(e)
 	st := mm.stats()
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "stats": st})
+	writeJSON(w, http.StatusOK, map[string]any{"key": e.key, "stats": st})
 }
 
 // predictRequest is the decoded body of POST …/model/predict: one
@@ -215,19 +177,14 @@ func decodePredict(r *http.Request, w http.ResponseWriter) (predictRequest, erro
 // speed while a replacement trains on the background lane — the staleness
 // window is bounded by the next batch boundary, which waits for the swap.
 func (s *Server) handleModelPredict(w http.ResponseWriter, r *http.Request) {
-	key, ok := streamKey(w, r)
-	if !ok {
-		return
-	}
-	e, mm, ok := s.modelFor(w, key)
+	e, mm, ok := s.modelFor(w, r)
 	if !ok {
 		return
 	}
 	defer e.unpin()
 	req, err := decodePredict(r, w)
 	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		s.fail(nil, w, err)
 		return
 	}
 	d := mm.deployed.Load()
@@ -242,7 +199,7 @@ func (s *Server) handleModelPredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.ObservePredictions(len(preds))
 	writeJSON(w, http.StatusOK, map[string]any{
-		"key":         key,
+		"key":         e.key,
 		"learner":     mm.spec.Learner,
 		"trainSize":   d.trainSize,
 		"predictions": preds,

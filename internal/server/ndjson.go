@@ -2,98 +2,26 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
-	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// This file is the wire-decode stage of the sharded ingest pipeline:
-// POST /v1/streams/{key}/items with Content-Type application/x-ndjson
-// streams one JSON value per line. Unlike the buffered JSON-array path it
-// never materializes the whole body and never reflects through
-// json.Unmarshal: the wire.LineReader scans chunked reads for newlines
-// directly, wire.Validate judges each line with the hand-rolled subset
-// validator (falling back to json.Valid only for escapes and deep
-// nesting, so accepted inputs are byte-for-byte the same set), and the
-// reader, line and batch buffers recycle across requests — per-item cost
-// is a newline scan, a subset-validity scan and one arena copy, with
-// zero allocations at steady state. With ?batch=N the decoder closes an
-// engine batch boundary every N items, so shard workers apply earlier
-// batches while later bytes are still being read off the socket.
+// Content-Type application/x-ndjson streams one JSON value per line.
+// Unlike the buffered JSON body it never materializes the whole body and
+// never reflects through json.Unmarshal: the wire.LineReader scans
+// chunked reads for newlines directly, wire.Validate judges each line
+// with the hand-rolled subset validator (falling back to json.Valid only
+// for escapes and deep nesting, so accepted inputs are byte-for-byte the
+// same set), and the reader and batch buffers recycle across requests —
+// per-item cost is a newline scan, a subset-validity scan and one arena
+// copy, with zero allocations at steady state.
 
-// isNDJSON reports whether the Content-Type selects the streaming path.
+// isNDJSON reports whether the Content-Type selects the NDJSON decoder.
 func isNDJSON(ct string) bool {
 	return contentTypeIs(ct, "application/x-ndjson") ||
 		contentTypeIs(ct, "application/ndjson")
-}
-
-const (
-	// ndjsonChunkItems bounds how many decoded items accumulate before
-	// being appended to the stream's open batch, so one huge request
-	// turns into a few batched critical sections rather than one giant
-	// deferred append.
-	ndjsonChunkItems = 4096
-
-	// maxAlignedChunkItems caps how far the decode chunk stretches to meet
-	// a ?batch=N boundary exactly. When the chunk and the boundary
-	// coincide, every flush finds the stream's pending slice empty and the
-	// batch array transfers to the engine by adoption (see
-	// entry.appendMode) instead of an element-by-element copy.
-	maxAlignedChunkItems = 4 * ndjsonChunkItems
-
-	// maxPooledLineBuf is the retention bound for pooled line readers: a
-	// reader whose buffer grew past this on an oversized line is dropped
-	// rather than pinned in the pool.
-	maxPooledLineBuf = 4 * wire.DefaultLineBufSize
-
-	// arenaChunkBytes is the allocation unit for decoded item bytes: one
-	// allocation per chunk of items instead of one per item. Chunks are
-	// owned by the items interned into them (they flow into the open
-	// batch and then the sampler), so they are NOT pooled — and because a
-	// single long-lived reservoir survivor pins its whole chunk, the
-	// chunk is kept small: with 4KB chunks a 1000-item R-TBS reservoir
-	// pins at most ~4MB per stream in the worst case, while ingest still
-	// amortizes to well under one allocation per item.
-	arenaChunkBytes = 4 << 10
-)
-
-// ndjsonScratch is the per-request recyclable state.
-type ndjsonScratch struct {
-	lr    *wire.LineReader
-	batch []Item
-}
-
-var ndjsonPool = sync.Pool{
-	New: func() any {
-		return &ndjsonScratch{
-			lr:    wire.NewLineReader(0),
-			batch: make([]Item, 0, ndjsonChunkItems),
-		}
-	},
-}
-
-// itemArena interns decoded lines into large shared chunks. Earlier items
-// keep pointing into retired chunks (the chunks stay reachable through
-// them); only the allocation granularity changes.
-type itemArena struct{ cur []byte }
-
-func (a *itemArena) intern(line []byte) Item {
-	if cap(a.cur)-len(a.cur) < len(line) {
-		size := arenaChunkBytes
-		if len(line) > size {
-			size = len(line)
-		}
-		a.cur = make([]byte, 0, size)
-	}
-	start := len(a.cur)
-	a.cur = append(a.cur, line...)
-	return Item(a.cur[start:len(a.cur):len(a.cur)])
 }
 
 // lineValid reports whether one trimmed line is valid JSON: the fast
@@ -110,234 +38,39 @@ func lineValid(line []byte) bool {
 	return json.Valid(line)
 }
 
-// handleItemsNDJSON is the streaming half of handleItems. Items are
-// appended in chunks as they decode, so on a mid-stream error the earlier
-// lines HAVE been ingested; the structured error reports the offending
-// 1-based line, its absolute byte offset, and the accepted count.
-//
-//tbs:walbeforeack
-func (s *Server) handleItemsNDJSON(w http.ResponseWriter, r *http.Request, key string) {
-	q := r.URL.Query()
-	boundaryEvery := 0
-	if v := q.Get("batch"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody("bad_request", "batch must be a positive integer", nil))
-			return
-		}
-		boundaryEvery = n
-	}
-	finalAdvance := q.Get("advance") == "1" || q.Get("advance") == "true"
+// ndjsonDecoder interns each valid line into its arena. Blank lines and
+// surrounding whitespace are skipped. Its failure position is the
+// 1-based line and that line's absolute byte offset.
+type ndjsonDecoder struct {
+	lr    *wire.LineReader
+	arena itemArena
+	line  int   // number of the last line read
+	off   int64 // byte offset of that line, or where a read failed
+}
 
-	tr := s.opts.Trace.StartFromRequest(r, obs.KindIngest, key)
-	e, err := s.acquireStream(key)
-	if err != nil {
-		status, code, extra := s.ingestFailure(err)
-		if code == "bad_request" {
-			status, code = http.StatusInternalServerError, "internal"
-		}
-		respond(tr, w, status, errorBody(code, err.Error(), extra))
-		return
-	}
-	defer e.unpin()
-
-	sc := ndjsonPool.Get().(*ndjsonScratch)
-	defer func() {
-		sc.lr.Reset(nil)
-		sc.batch = sc.batch[:0]
-		if sc.lr.BufCap() <= maxPooledLineBuf {
-			ndjsonPool.Put(sc)
-		}
-	}()
-	sc.lr.Reset(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-
-	var (
-		arena      itemArena
-		added      int
-		boundaries uint64
-		lineNo     int
-		lineOff    int64
-		sinceAdv   int
-		pending    int
-		ingested   uint64
-		maxLSN     uint64 // newest journal record this request must sync before acking
-	)
-	chunkSize := ndjsonChunkItems
-	if boundaryEvery > 0 && boundaryEvery <= maxAlignedChunkItems {
-		chunkSize = boundaryEvery
-	}
-	// Stage attribution is chunk-grained, never per-line: a time.Now()
-	// pair per line would cost more than the decode itself. Parse time is
-	// the decode loop's total minus what went to appends and boundaries.
-	loopStart := time.Now()
-	var appendDur, enqDur time.Duration
-	appendChunk := func() error {
-		if len(sc.batch) == 0 {
-			return nil
-		}
-		var err error
-		var lsn uint64
-		var adopted bool
-		t0 := time.Now()
-		pending, ingested, lsn, adopted, err = e.appendMode(sc.batch, s.opts.MaxPendingItems, true)
-		appendDur += time.Since(t0)
+func (d *ndjsonDecoder) fill(batch []Item, want int) ([]Item, error) {
+	for len(batch) < want {
+		line, off, err := d.lr.Next()
 		if err != nil {
-			return err
-		}
-		if lsn > maxLSN {
-			maxLSN = lsn
-		}
-		added += len(sc.batch)
-		sinceAdv += len(sc.batch)
-		if adopted {
-			// The engine took the array wholesale; draw a replacement from
-			// the recycle pool (stocked by applyBatch after each apply).
-			if sc.batch = acquireBatchSlice(); sc.batch == nil {
-				sc.batch = make([]Item, 0, chunkSize)
+			if err != io.EOF {
+				d.off = d.lr.Offset()
 			}
-		} else {
-			sc.batch = sc.batch[:0]
+			return batch, err
 		}
-		return nil
+		d.line++
+		d.off = off
+		if line = wire.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		if !lineValid(line) {
+			return batch, fmt.Errorf("line %d (byte offset %d) is not valid JSON", d.line, off)
+		}
+		batch = append(batch, d.arena.intern(line))
 	}
-	stagesDone := false
-	recordStages := func() {
-		if stagesDone {
-			return // fail() after the loop must not double-count
-		}
-		stagesDone = true
-		tr.StageDur(obs.StageWALAppend, loopStart, appendDur)
-		if enqDur > 0 {
-			tr.StageDur(obs.StageEnqueue, loopStart, enqDur)
-		}
-		tr.StageDur(obs.StageParse, loopStart, time.Since(loopStart)-appendDur-enqDur)
-	}
-	fail := func(err error, msg string) {
-		s.metrics.ObserveIngest(added)
-		recordStages()
-		// The error body reports `added` accepted items — an
-		// acknowledgement like any other, so their journal records are
-		// made durable too (best-effort: the primary error wins the
-		// response either way).
-		fsyncStart := time.Now()
-		_ = s.syncWAL(maxLSN)
-		tr.StageSince(obs.StageFsyncWait, fsyncStart)
-		status, code, extra := s.ingestFailure(err)
-		if extra == nil {
-			extra = map[string]any{}
-		}
-		extra["added"] = added
-		extra["line"] = lineNo
-		extra["offset"] = lineOff
-		if msg == "" {
-			msg = err.Error()
-		}
-		respond(tr, w, status, errorBody(code, msg, extra))
-	}
+	return batch, nil
+}
 
-	for {
-		line, off, rerr := sc.lr.Next()
-		if rerr != nil {
-			if rerr == io.EOF {
-				break
-			}
-			lineOff = sc.lr.Offset()
-			_ = appendChunk()
-			fail(rerr, "")
-			return
-		}
-		lineNo++
-		lineOff = off
-		line = wire.TrimSpace(line)
-		if len(line) > 0 {
-			if !lineValid(line) {
-				_ = appendChunk()
-				fail(errors.New("line is not valid JSON"),
-					"line "+strconv.Itoa(lineNo)+" (byte offset "+strconv.FormatInt(off, 10)+") is not valid JSON")
-				return
-			}
-			sc.batch = append(sc.batch, arena.intern(line))
-			if len(sc.batch) >= chunkSize {
-				if err := appendChunk(); err != nil {
-					fail(err, "")
-					return
-				}
-				if boundaryEvery > 0 && sinceAdv >= boundaryEvery {
-					// Pipelined batch boundary: the shard worker applies it
-					// while we keep decoding the rest of the body. Its
-					// journal record rides the final group-commit sync.
-					// advanceAsync gets a nil trace — its boundary child
-					// traces would each want tr concurrently with this
-					// loop; the enqueue time is accumulated here instead.
-					t0 := time.Now()
-					if lsn := s.advanceAsync(e, nil); lsn > maxLSN {
-						maxLSN = lsn
-					}
-					enqDur += time.Since(t0)
-					boundaries++
-					sinceAdv = 0
-					pending = 0
-				}
-			}
-		}
-	}
-	if err := appendChunk(); err != nil {
-		fail(err, "")
-		return
-	}
-	// The final flush can complete a ?batch=N boundary too: with N larger
-	// than the chunk size the in-loop check never sees sinceAdv reach N,
-	// so without this a request of exactly N items would close no
-	// boundary at all and pending would grow without bound across
-	// requests.
-	if boundaryEvery > 0 && sinceAdv >= boundaryEvery {
-		if lsn := s.advanceAsync(e, nil); lsn > maxLSN {
-			maxLSN = lsn
-		}
-		boundaries++
-		sinceAdv = 0
-		pending = 0
-	}
-	s.metrics.ObserveIngest(added)
-	recordStages()
-	if added == 0 {
-		// No append touched the counters; report the stream's real state.
-		pending, ingested, _ = e.counters()
-	}
-
-	resp := map[string]any{
-		"key":      key,
-		"added":    added,
-		"pending":  pending,
-		"ingested": ingested,
-	}
-	if finalAdvance {
-		_, batches, _, lsn, aerr := s.advanceWait(e, tr)
-		if aerr != nil {
-			fail(aerr, "")
-			return
-		}
-		if lsn > maxLSN {
-			maxLSN = lsn
-		}
-		boundaries++
-		resp["pending"] = 0
-		resp["advanced"] = true
-		resp["batches"] = batches
-	}
-	if boundaries > 0 {
-		resp["boundaries"] = boundaries
-	}
-	// One durability wait acknowledges the whole request: every chunk and
-	// boundary journaled above is covered by a sync to the newest LSN
-	// (group commit amortizes the fsyncs across concurrent requests).
-	fsyncStart := time.Now()
-	err = s.syncWAL(maxLSN)
-	tr.StageSince(obs.StageFsyncWait, fsyncStart)
-	if err != nil {
-		respond(tr, w, http.StatusInternalServerError, errorBody("wal_unavailable", err.Error(), nil))
-		return
-	}
-	respond(tr, w, http.StatusOK, resp)
+func (d *ndjsonDecoder) position(_ error, extra map[string]any) {
+	extra["line"] = d.line
+	extra["offset"] = d.off
 }

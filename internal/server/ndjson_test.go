@@ -14,21 +14,7 @@ import (
 // postNDJSON issues a raw NDJSON ingest request.
 func (h *harness) postNDJSON(path, body string) (*http.Response, []byte) {
 	h.t.Helper()
-	req, err := http.NewRequest("POST", h.ts.URL+path, strings.NewReader(body))
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	return resp, data
+	return h.post(path, "application/x-ndjson", []byte(body))
 }
 
 // TestNDJSONIngest: line-delimited values land as individual items, blank

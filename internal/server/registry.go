@@ -184,29 +184,25 @@ func (e *entry) endMigration() {
 	e.mu.Unlock()
 }
 
-// append adds items to the open batch and returns the new pending and
+// appendMode adds items to the open batch and returns the new pending and
 // total counts plus, when journaling is on, the LSN of the item-append
 // record (the caller must wal-sync it before acknowledging). A positive
 // maxPending bounds the open batch: one tenant that ingests forever
 // without a batch boundary must not grow server memory (and checkpoint
-// size) without limit.
+// size) without limit. Items that alone exceed it are the caller's to
+// reject (errRequestTooLarge), before it acquires the stream.
 //
 // The journal write happens under e.mu, after validation and before the
 // mutation: WAL order therefore equals the stream's apply order, a
 // rejected request journals nothing, and a journaling failure rejects the
 // request — the server never acknowledges what it could not log.
-func (e *entry) append(items []Item, maxPending int) (pending int, ingested uint64, lsn uint64, err error) {
-	pending, ingested, lsn, _, err = e.appendMode(items, maxPending, false)
-	return pending, ingested, lsn, err
-}
-
-// appendMode is append with an ownership option: with adopt=true and no
-// open batch, the caller DONATES its items array — the slice becomes
-// e.pending wholesale (adopted=true) and the caller must stop using it,
-// drawing a replacement from the batch pool. The streaming decoders size
-// their chunks to the ?batch=N boundary exactly so every boundary's
-// items transfer by adoption: zero header copies, and the array cycles
-// decoder → pending → engine → sampler → pool → decoder.
+//
+// With adopt=true and no open batch, the caller DONATES its items array
+// — the slice becomes e.pending wholesale (adopted=true) and the caller
+// must stop using it, drawing a replacement from the batch pool. The
+// ingest loop sizes its chunks to the ?batch=N boundary exactly so every
+// boundary's items transfer by adoption: zero header copies, and the
+// array cycles loop → pending → engine → sampler → pool → loop.
 func (e *entry) appendMode(items []Item, maxPending int, adopt bool) (pending int, ingested uint64, lsn uint64, adopted bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -217,11 +213,6 @@ func (e *entry) appendMode(items []Item, maxPending int, adopt bool) (pending in
 		return len(e.pending), e.ingested, 0, false, errStreamMigrating
 	}
 	if maxPending > 0 && len(e.pending)+len(items) > maxPending {
-		if len(items) > maxPending {
-			// No amount of advancing makes one oversized request fit.
-			return len(e.pending), e.ingested, 0, false,
-				fmt.Errorf("%w: %d items, limit %d; split the request", errRequestTooLarge, len(items), maxPending)
-		}
 		return len(e.pending), e.ingested, 0, false,
 			fmt.Errorf("%w: holds %d items (limit %d); advance the stream or enable -batch-interval", errBatchFull, len(e.pending), maxPending)
 	}
@@ -564,8 +555,22 @@ func (e *entry) journalSampleRead(buf []Item) (items []Item, lsn uint64, err err
 }
 
 // errTooManyStreams is returned by getOrCreate when the stream cap is
-// reached; handlers map it to 429 rather than 500.
-var errTooManyStreams = errors.New("server: stream limit reached")
+// reached; handlers map it to 429 rather than 500. errNewSampler marks a
+// sampler that could not be built from the server's validated config —
+// a server fault, which handlers map to 500.
+var (
+	errTooManyStreams = errors.New("server: stream limit reached")
+	errNewSampler     = errors.New("server: building the stream's sampler failed")
+)
+
+// streamMovedError refuses a key this node handed off; handlers answer
+// 421 naming the new home, so a stale client (or a router without the
+// override) can re-route instead of recreating the stream here.
+type streamMovedError struct{ key, target string }
+
+func (e *streamMovedError) Error() string {
+	return fmt.Sprintf("stream %q was handed off to %s", e.key, e.target)
+}
 
 // registry maps stream keys to entries across lock-striped shards, so
 // concurrent requests for unrelated keys never contend on one lock.
@@ -587,6 +592,15 @@ type registry struct {
 	// of a resident entry.
 	resident atomic.Int64
 	shards   []*shard
+
+	// moved records streams handed off to another node: key → target base
+	// URL. Requests for a moved key answer 421 with the new home instead
+	// of silently recreating the stream here. In-memory only — after a
+	// restart the journaled tombstone still prevents resurrection, and a
+	// misdirected ingest then creates a fresh stream exactly as a DELETE
+	// would allow; keeping routers pointed at the new owner is the
+	// router's job (its override map), this guard is the backstop.
+	moved sync.Map
 
 	// wal, once set by enableWAL, is handed to every entry created from
 	// then on. It is written exactly once, after boot replay and before
@@ -664,6 +678,12 @@ func (r *registry) getOrCreateAt(key string, capExempt bool) (*entry, error) {
 	if e := sh.entries[key]; e != nil {
 		return e, nil
 	}
+	// A handoff stores its marker before removing the entry, so a request
+	// that passed the moved check before the handoff committed cannot
+	// recreate the key here.
+	if err := r.movedErr(key); err != nil {
+		return nil, err
+	}
 	// Reserve the slot atomically before building: concurrent first-touch
 	// creations on different shards would otherwise all pass a plain
 	// load-then-check and overshoot the cap by up to nShards-1.
@@ -674,13 +694,21 @@ func (r *registry) getOrCreateAt(key string, capExempt bool) (*entry, error) {
 	s, err := tbs.NewFromConfig[Item](r.cfg.WithSeed(tbs.DeriveSeed(r.baseSeed, key)))
 	if err != nil {
 		r.total.Add(-1)
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", errNewSampler, err)
 	}
 	cs := tbs.NewConcurrent(s)
 	e = &entry{key: key, sampler: cs, sampleMutating: tbs.SampleMutates[Item](cs), wal: r.wal}
 	sh.entries[key] = e
 	r.resident.Add(1)
 	return e, nil
+}
+
+// movedErr refuses a key handed off to another node; nil otherwise.
+func (r *registry) movedErr(key string) error {
+	if t, ok := r.moved.Load(key); ok {
+		return &streamMovedError{key, t.(string)}
+	}
+	return nil
 }
 
 // remove deletes the stream's entry and returns it (nil when absent). The
@@ -722,14 +750,17 @@ func (r *registry) enableWAL(l *wal.Log) {
 	}
 }
 
-// insertRestored installs a checkpointed entry at boot. It refuses to
-// clobber an existing stream.
+// errStreamExists marks a rebuilt stream whose key is already live here.
+var errStreamExists = errors.New("stream already exists")
+
+// insertRestored installs a rebuilt entry (boot restore, adoption). It
+// refuses to clobber an existing stream.
 func (r *registry) insertRestored(e *entry) error {
 	sh := r.shardFor(e.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.entries[e.key]; dup {
-		return fmt.Errorf("server: duplicate checkpoint for stream %q", e.key)
+		return fmt.Errorf("%w: %q", errStreamExists, e.key)
 	}
 	sh.entries[e.key] = e
 	r.total.Add(1)

@@ -107,7 +107,7 @@ func TestRegistryPerKeySeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 1; i <= 8; i++ {
-			e.append(testItems(i, 30), 0)
+			e.appendMode(testItems(i, 30), 0, false)
 			e.advance()
 		}
 		return e.sampler.Sample()
@@ -172,7 +172,7 @@ func TestQueuedBatchSurvivesCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := e.append(testItems(1, 30), 0); err != nil {
+		if _, _, _, _, err := e.appendMode(testItems(1, 30), 0, false); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -229,7 +229,7 @@ func TestEntryAdvanceEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.append(testItems(1, 10), 0)
+	e.appendMode(testItems(1, 10), 0, false)
 	e.advance()
 	if n, batches, _ := e.advance(); n != 0 || batches != 2 {
 		t.Fatalf("empty advance: n=%d batches=%d, want 0, 2", n, batches)

@@ -176,6 +176,7 @@ func (o *Options) setDefaults() {
 type Server struct {
 	opts    Options
 	reg     *registry
+	scheme  string // the configured scheme's canonical name; every restored state must carry it
 	metrics *Metrics
 	mux     *http.ServeMux
 	eng     *engine.Engine // nil when QueueDepth < 0 (inline apply)
@@ -194,15 +195,6 @@ type Server struct {
 	// would each snapshot the same over-bound population and jointly
 	// evict twice the excess, overshooting far below MaxResident.
 	hibMu sync.Mutex
-
-	// moved records streams handed off to another node: key → target base
-	// URL. Requests for a moved key answer 421 with the new home instead
-	// of silently recreating the stream here. In-memory only — after a
-	// restart the journaled tombstone still prevents resurrection, and a
-	// misdirected ingest then creates a fresh stream exactly as a DELETE
-	// would allow; keeping routers pointed at the new owner is the
-	// router's job (its override map), this guard is the backstop.
-	moved sync.Map
 }
 
 // New validates the configuration and, when a checkpoint directory is
@@ -216,9 +208,14 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	info, err := tbs.Lookup(opts.Sampler.Scheme)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		opts:    opts,
 		reg:     reg,
+		scheme:  info.Name,
 		metrics: &Metrics{},
 		stop:    make(chan struct{}),
 		hibKick: make(chan struct{}, 1),
@@ -358,12 +355,27 @@ func (s *Server) Stop(ctx context.Context) error {
 	return err
 }
 
-// submitApply hands a closed batch to the engine worker owning the stream
-// (inline when the engine is disabled or closing). The caller must hold
-// e.advMu so close order equals submission order. btr is the boundary
-// trace for this batch (nil when tracing is off); applyBatch takes
-// ownership of it.
-func (s *Server) submitApply(e *entry, batch []Item, btr *obs.Trace) {
+// advanceAsync closes the stream's open batch and queues it for
+// application, returning without waiting — the pipelined batch boundary
+// used by the ticker and by ?batch=N ingest. The returned LSN is the
+// boundary's journal record (0 when journaling is off); the caller
+// acknowledging the boundary must wal-sync it first. A stream frozen for
+// a handoff is silently skipped (lsn 0) — the ticker must not stall, and
+// the boundary will happen on the stream's new owner.
+func (s *Server) advanceAsync(e *entry) uint64 {
+	e.advMu.Lock()
+	defer e.advMu.Unlock()
+	closeStart := time.Now()
+	batch, ok, lsn, jerr := e.closeBatch()
+	if !ok {
+		return 0
+	}
+	s.noteJournalErr(jerr)
+	btr := s.opts.Trace.Start(obs.KindBoundary, e.key)
+	btr.StageSince(obs.StageCloseBatch, closeStart)
+	// The engine worker owning the stream applies the batch (inline when
+	// the engine is disabled or closing); holding advMu keeps close order
+	// equal to submission order. applyBatch takes ownership of btr.
 	apply := func() {
 		n, _, elapsed := e.applyBatch(batch, btr)
 		s.metrics.ObserveAdvance(n, elapsed)
@@ -371,33 +383,6 @@ func (s *Server) submitApply(e *entry, batch []Item, btr *obs.Trace) {
 	if s.eng == nil || s.eng.Submit(e.key, apply) != nil {
 		apply()
 	}
-}
-
-// advanceAsync closes the stream's open batch and queues it for
-// application, returning without waiting — the pipelined batch boundary
-// used by the ticker and by NDJSON mid-request boundaries. The returned
-// LSN is the boundary's journal record (0 when journaling is off); the
-// caller acknowledging the boundary must wal-sync it first. A stream
-// frozen for a handoff is silently skipped (lsn 0) — the ticker must not
-// stall, and the boundary will happen on the stream's new owner.
-//
-// tr, when non-nil, is the ingest trace that ordered this boundary; the
-// boundary gets its own child trace under the same trace ID, and the
-// close+submit time is charged to the ingest trace's engine_enqueue
-// stage.
-func (s *Server) advanceAsync(e *entry, tr *obs.Trace) uint64 {
-	e.advMu.Lock()
-	defer e.advMu.Unlock()
-	enqStart := time.Now()
-	batch, ok, lsn, jerr := e.closeBatch()
-	if !ok {
-		return 0
-	}
-	s.noteJournalErr(jerr)
-	btr := s.opts.Trace.StartChild(tr, obs.KindBoundary, e.key)
-	btr.StageSince(obs.StageCloseBatch, enqStart)
-	s.submitApply(e, batch, btr)
-	tr.StageSince(obs.StageEnqueue, enqStart)
 	return lsn
 }
 
@@ -475,7 +460,7 @@ func (s *Server) AdvanceAll() {
 			// refuse anyway, this just skips the lock on every stub.
 			continue
 		}
-		s.advanceAsync(e, nil)
+		s.advanceAsync(e)
 	}
 	if s.eng != nil {
 		s.eng.FlushAll()

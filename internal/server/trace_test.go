@@ -201,3 +201,46 @@ func TestRouterTracePropagation(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreStagesRecordedOnce: hydration and adoption run through
+// rebuild, and each of their stages is observed once per operation, so a
+// stage histogram's mean is the per-operation cost.
+func TestRestoreStagesRecordedOnce(t *testing.T) {
+	sopts := tieredOptions(t, 4)
+	sopts.Trace = obs.NewTracer(64, nil)
+	src := newHarness(t, sopts)
+	dopts := handoffOpts(t.TempDir(), 4)
+	dopts.Trace = obs.NewTracer(64, nil)
+	dst := newHarness(t, dopts)
+	src.driveStream("k", 1, 3)
+	if _, err := src.srv.HibernatePass(); err != nil {
+		t.Fatal(err)
+	}
+	src.stats("k") // hydrates
+	src.handoff("k", dst.ts.URL, http.StatusOK)
+
+	count := func(metrics, series string) string {
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				return v
+			}
+		}
+		return "absent"
+	}
+	for _, c := range []struct {
+		h    *harness
+		kind obs.Kind
+	}{{src, obs.KindHydrate}, {dst, obs.KindAdopt}} {
+		m := c.h.get("/metrics")
+		kind := `kind="` + c.kind.String() + `"`
+		ops := count(m, `tbsd_trace_duration_seconds_count{`+kind+`}`)
+		if ops == "absent" {
+			t.Fatalf("no %s trace recorded", c.kind)
+		}
+		for _, stage := range obs.StageNames(c.kind) {
+			if got := count(m, `tbsd_trace_stage_duration_seconds_count{`+kind+`,stage="`+stage+`"}`); got != ops {
+				t.Errorf("%s stage %s observed %s times in %s operations", c.kind, stage, got, ops)
+			}
+		}
+	}
+}

@@ -38,6 +38,14 @@ func (s *Server) syncWAL(lsn uint64) error {
 	return s.wal.Sync(lsn)
 }
 
+// lastLSN is the LSN of the newest record in the log (0 without one).
+func (s *Server) lastLSN() uint64 {
+	if s.wal == nil {
+		return 0
+	}
+	return s.wal.LastLSN()
+}
+
 // noteJournalErr surfaces a boundary-journaling failure. The first real
 // error is worth a log line; the ErrPoisoned fast-fails that follow are
 // already counted by the log's stats and would only spam.
@@ -103,19 +111,15 @@ func (s *Server) replayWAL() (int, error) {
 			}
 		}
 		if r.Type == wal.TypeStreamDelete {
-			if e != nil {
-				s.dropEntry(e)
-			}
 			// The checkpoint file normally died with the DELETE request; a
 			// crash between the journal write and the unlink leaves it
-			// behind, and this replay finishes the job.
-			if dir := s.opts.CheckpointDir; dir != "" {
-				if err := os.Remove(filepath.Join(dir, checkpointFileName(r.Key))); err != nil && !errors.Is(err, os.ErrNotExist) {
-					return err
-				}
-			}
+			// behind, and this replay finishes the job. The entry's wal is
+			// still nil, so nothing is re-journaled.
 			replayed++
-			return nil
+			if e == nil {
+				return s.removeCheckpointFile(r.Key)
+			}
+			return s.tombstone(e)
 		}
 		if e == nil {
 			var err error
@@ -178,15 +182,6 @@ func (s *Server) applyReplayRecord(e *entry, r wal.Record) error {
 	return nil
 }
 
-// dropEntry detaches an entry from the registry and marks it deleted so
-// in-flight holders stop journaling and checkpointing it.
-func (s *Server) dropEntry(e *entry) {
-	s.reg.remove(e.key)
-	e.mu.Lock()
-	e.deleted = true
-	e.mu.Unlock()
-}
-
 // deleteStream removes a stream end to end: the registry entry, its
 // checkpoint file, and (via a journaled tombstone) its WAL history, so a
 // restart cannot resurrect the tenant. Serialized against checkpoint
@@ -204,35 +199,43 @@ func (s *Server) deleteStream(key string) (bool, error) {
 	// the stream disappears (applies to a detached entry are harmless but
 	// would waste sampler work).
 	s.flushStream(e)
+	return true, s.tombstone(e)
+}
 
-	// Journal the tombstone under the entry lock: any append that wins
-	// the race lands before it (and is dropped by replay); any append
-	// that loses sees deleted and fails with 404. A journaling failure
-	// does not abort the delete — the entry and checkpoint file still go,
-	// which is what the client asked for — but it is surfaced, because a
-	// poisoned log plus a crash before the next checkpoint pass could
-	// resurrect other streams' tails without this tombstone.
+// tombstone ends a stream here: a DELETE, a completed handoff, or the
+// replay of either. The tombstone is journaled under the entry lock: any
+// append that wins the race lands before it (and is dropped by replay);
+// any append that loses sees deleted and fails with 404. A journaling
+// failure does not abort the removal — the entry and checkpoint file
+// still go — but it is surfaced, because a poisoned log plus a crash
+// before the next checkpoint pass could resurrect other streams' tails
+// without this tombstone. While serving, the caller holds ckptMu.
+func (s *Server) tombstone(e *entry) error {
 	var lsn uint64
 	var jerr error
 	e.mu.Lock()
 	e.deleted = true
 	if e.wal != nil {
-		if lsn, jerr = e.wal.AppendRecord(wal.TypeStreamDelete, key, nil); jerr != nil {
-			jerr = fmt.Errorf("journal stream delete: %w", jerr)
+		if lsn, jerr = e.wal.AppendRecord(wal.TypeStreamDelete, e.key, nil); jerr != nil {
+			jerr = fmt.Errorf("journal stream tombstone: %w", jerr)
 		}
 	}
 	e.mu.Unlock()
-	s.reg.remove(key)
+	s.reg.remove(e.key)
 
 	// Make the tombstone durable BEFORE unlinking the checkpoint file: if
 	// the process dies in between, replay finishes the unlink; the other
 	// order could leave neither snapshot nor tombstone and resurrect a
 	// partial stream from the surviving WAL records.
-	jerr = errors.Join(jerr, s.syncWAL(lsn))
+	return errors.Join(jerr, s.syncWAL(lsn), s.removeCheckpointFile(e.key))
+}
+
+// removeCheckpointFile unlinks a stream's checkpoint file, if any.
+func (s *Server) removeCheckpointFile(key string) error {
 	if dir := s.opts.CheckpointDir; dir != "" {
 		if err := os.Remove(filepath.Join(dir, checkpointFileName(key))); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return true, errors.Join(jerr, err)
+			return err
 		}
 	}
-	return true, jerr
+	return nil
 }

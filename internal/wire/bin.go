@@ -115,6 +115,11 @@ func (br *BinReader) Reset(r io.Reader) {
 	br.frame, br.frameOff, br.off = 0, 0, 0
 }
 
+// BufCap reports the payload buffer's capacity — pools use it to drop
+// readers that kept a buffer past their retention bound after an
+// oversized frame. Retained frames leave none behind (NextFrameItems).
+func (br *BinReader) BufCap() int { return cap(br.payload) }
+
 // Frame reports the 1-based ordinal of the current frame.
 func (br *BinReader) Frame() int { return br.frame }
 
