@@ -11,6 +11,7 @@ package manage
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -183,14 +184,18 @@ func meanStd(xs []float64) (float64, float64) {
 }
 
 // Manager runs the predict→sample→maybe-retrain loop over a batch stream.
+// Step takes one batch through three phases: Score, Fold and Deploy. A
+// caller that fits models off its ingest path, as tbsd does on a
+// background worker, runs the phases apart, in that order, and fits the
+// sample that Fold returns itself. Model may be called at any time, also
+// while Deploy runs; the other methods must not run concurrently.
 type Manager[T, M any] struct {
 	sampler core.Sampler[T]
 	train   Trainer[T, M]
 	eval    Evaluator[T, M]
 	policy  Policy
 
-	model    M
-	hasModel bool
+	model    atomic.Pointer[M] // nil until the first successful fit
 	retrains int
 	t        int
 }
@@ -215,29 +220,72 @@ func New[T, M any](sampler core.Sampler[T], train Trainer[T, M], eval Evaluator[
 // fires (or if no model exists and data is available). Training errors are
 // returned; a failed training keeps the previous model deployed.
 func (m *Manager[T, M]) Step(batch []T) (float64, error) {
-	m.t++
-	err := math.NaN()
-	if m.hasModel && len(batch) > 0 {
-		err = m.eval(m.model, batch)
-	}
-	m.sampler.Advance(batch)
-	if m.policy.ShouldRetrain(m.t, err) || !m.hasModel {
-		sample := m.sampler.Sample()
-		if len(sample) > 0 {
-			model, terr := m.train(sample)
-			if terr != nil {
-				return err, fmt.Errorf("manage: retrain at t=%d: %w", m.t, terr)
-			}
-			m.model = model
-			m.hasModel = true
-			m.retrains++
+	err := m.Score(batch)
+	if sample := m.Fold(batch, err); sample != nil {
+		model, terr := m.train(sample)
+		if derr := m.Deploy(model, terr); derr != nil {
+			return err, derr
 		}
 	}
 	return err, nil
 }
 
+// Score returns the deployed model's error on batch, or NaN when no model
+// exists yet or the batch is empty.
+func (m *Manager[T, M]) Score(batch []T) float64 {
+	if p := m.model.Load(); p != nil && len(batch) > 0 {
+		return m.eval(*p, batch)
+	}
+	return math.NaN()
+}
+
+// Fold counts the batch, advances the sampler with it and asks the
+// policy about err, the batch's score. When the policy fires or no model
+// exists yet, it returns the realized sample to fit; otherwise, and for
+// an empty realization, it returns nil. The policy hears every batch,
+// because a stateful policy such as OnDrift learns from each error.
+func (m *Manager[T, M]) Fold(batch []T, err float64) []T {
+	m.t++
+	m.sampler.Advance(batch)
+	if !m.policy.ShouldRetrain(m.t, err) && m.model.Load() != nil {
+		return nil
+	}
+	if sample := m.sampler.Sample(); len(sample) > 0 {
+		return sample
+	}
+	return nil
+}
+
+// Deploy installs a model fitted on Fold's sample and counts the retrain.
+// When the fit failed (fitErr non-nil), the previous model stays deployed
+// and Deploy returns the failure.
+func (m *Manager[T, M]) Deploy(model M, fitErr error) error {
+	if fitErr != nil {
+		return fmt.Errorf("manage: retrain at t=%d: %w", m.t, fitErr)
+	}
+	m.model.Store(&model)
+	m.retrains++
+	return nil
+}
+
+// Resume sets a new Manager to saved progress: t batches processed,
+// retrains fits deployed, and the deployed model when ok. Its sampler must
+// already hold the state saved with them.
+func (m *Manager[T, M]) Resume(t, retrains int, model M, ok bool) {
+	m.t, m.retrains = t, retrains
+	if ok {
+		m.model.Store(&model)
+	}
+}
+
 // Model returns the deployed model and whether one exists.
-func (m *Manager[T, M]) Model() (M, bool) { return m.model, m.hasModel }
+func (m *Manager[T, M]) Model() (M, bool) {
+	if p := m.model.Load(); p != nil {
+		return *p, true
+	}
+	var zero M
+	return zero, false
+}
 
 // Retrains returns how many times a model has been (re)trained.
 func (m *Manager[T, M]) Retrains() int { return m.retrains }

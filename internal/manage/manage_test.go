@@ -3,6 +3,7 @@ package manage
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -310,6 +311,112 @@ func TestManagerTrainFailureKeepsOldModel(t *testing.T) {
 	}
 	if mgr.Retrains() != 1 {
 		t.Errorf("retrains = %d", mgr.Retrains())
+	}
+}
+
+// countPolicy never fires and counts how often it is asked.
+type countPolicy struct{ asked int }
+
+func (c *countPolicy) ShouldRetrain(int, float64) bool { c.asked++; return false }
+
+// TestManagerPhasesApart runs Score, Fold and Deploy apart, with the fit
+// in between as a server runs it off its ingest path, against Step on a
+// twin manager: errors, sample realizations, counters and models must
+// agree at every batch, including empty batches, failed fits and the
+// empty realization before the first item. Model is read concurrently
+// with Deploy throughout (run under -race).
+func TestManagerPhasesApart(t *testing.T) {
+	fit := func(sample []int) (int, error) {
+		sum := 0
+		for _, v := range sample {
+			sum += v
+		}
+		if sum%7 == 0 {
+			return 0, fmt.Errorf("sum %d", sum)
+		}
+		return sum, nil
+	}
+	eval := func(model int, batch []int) float64 { return float64(model % (len(batch) + 3)) }
+	mk := func() *Manager[int, int] {
+		s, err := core.NewSlidingWindow[int](6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(s, fit, eval, Every{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	step, apart := mk(), mk()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				apart.Model()
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 40; i++ {
+		batch := make([]int, (i*5)%4)
+		for j := range batch {
+			batch[j] = i*10 + j
+		}
+		want, werr := step.Step(batch)
+		got := apart.Score(batch)
+		var gerr error
+		if sample := apart.Fold(batch, got); sample != nil {
+			gerr = apart.Deploy(fit(sample))
+		}
+		if math.IsNaN(got) != math.IsNaN(want) || (!math.IsNaN(want) && got != want) {
+			t.Fatalf("batch %d: phases scored %v, Step %v", i, got, want)
+		}
+		if (gerr == nil) != (werr == nil) || apart.T() != step.T() || apart.Retrains() != step.Retrains() {
+			t.Fatalf("batch %d: phases (err %v, t %d, retrains %d), Step (err %v, t %d, retrains %d)",
+				i, gerr, apart.T(), apart.Retrains(), werr, step.T(), step.Retrains())
+		}
+		gm, gok := apart.Model()
+		wm, wok := step.Model()
+		if gm != wm || gok != wok {
+			t.Fatalf("batch %d: phases model (%v, %v), Step (%v, %v)", i, gm, gok, wm, wok)
+		}
+	}
+	if step.Retrains() == 0 {
+		t.Fatal("no retrain happened; the comparison is vacuous")
+	}
+}
+
+// TestManagerFoldAsksPolicyEveryBatch: the policy hears every batch, also
+// before a model exists, and an empty realization orders no fit.
+func TestManagerFoldAsksPolicyEveryBatch(t *testing.T) {
+	s, _ := core.NewSlidingWindow[int](4)
+	pol := &countPolicy{}
+	m, err := New(s, func(sample []int) (int, error) { return len(sample), nil },
+		func(int, []int) float64 { return 0 }, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sample := m.Fold(nil, math.NaN()); sample != nil {
+		t.Fatalf("empty realization returned %v", sample)
+	}
+	if sample := m.Fold([]int{1, 2}, math.NaN()); len(sample) != 2 {
+		t.Fatalf("no model yet: Fold returned %v, want the 2-item sample", sample)
+	}
+	if err := m.Deploy(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if sample := m.Fold([]int{3}, 0); sample != nil {
+		t.Fatalf("policy did not fire but Fold returned %v", sample)
+	}
+	if pol.asked != 3 || m.T() != 3 || m.Retrains() != 1 {
+		t.Fatalf("policy asked %d times, t %d, retrains %d; want 3, 3, 1", pol.asked, m.T(), m.Retrains())
 	}
 }
 

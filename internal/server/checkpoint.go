@@ -292,11 +292,10 @@ func (s *Server) rebuild(key string, st checkpointState, tail func(walLSN uint64
 		persisted: true,
 	}
 	if st.Model != nil {
-		mm, err := restoreManagedModel(st.Model, s.runBackground, s.metrics)
+		mm, err := restoreManagedModel(st.Model, cs, s.runBackground, s.metrics)
 		if err != nil {
 			return nil, err
 		}
-		mm.onSwap = e.journalSwapRecord
 		e.model.Store(mm)
 	}
 	// Replay boundaries that were closed but still queued when the
@@ -308,7 +307,7 @@ func (s *Server) rebuild(key string, st checkpointState, tail func(walLSN uint64
 	// would have done next.
 	for _, b := range st.Queued {
 		if mm := e.model.Load(); mm != nil {
-			mm.onBoundary(e.sampler, b, nil)
+			mm.onBoundary(b, nil)
 		} else {
 			e.sampler.Advance(b)
 		}

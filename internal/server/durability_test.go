@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wal"
 	"repro/tbs"
 )
 
@@ -319,6 +320,32 @@ func TestDeleteStream(t *testing.T) {
 	if got := h2.stats("doomed"); got.Ingested != 5 {
 		t.Fatalf("recreated stream inherited state: %+v", got)
 	}
+}
+
+// TestReplaySkipsSwapAfterTombstone: an older log can hold a retrain-swap
+// record that the background lane wrote outside the entry lock, after the
+// stream's tombstone. Replay must not recreate the deleted stream for it.
+func TestReplaySkipsSwapAfterTombstone(t *testing.T) {
+	dir := t.TempDir()
+	opts := walOpts(dir, 3)
+	l, err := wal.Open(wal.Options{Dir: opts.WALDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.AppendItems(l, "gone", [][]byte{[]byte(`{"v":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendRecord(wal.TypeStreamDelete, "gone", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendRecord(wal.TypeRetrainSwap, "gone", []byte{0, 0, 0, 0, 0, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, opts)
+	h.do("GET", "/v1/streams/gone/stats", nil, http.StatusNotFound, nil)
 }
 
 // TestDeleteStreamWithoutWAL: deletion works in checkpoint-only mode too

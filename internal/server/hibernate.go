@@ -188,11 +188,6 @@ func (s *Server) hydrate(e *entry) (err error) {
 	e.persisted = true
 	e.walLSN = scratch.walLSN
 	e.durableLSN = max(e.durableLSN, scratch.durableLSN)
-	if mm := scratch.model.Load(); mm != nil {
-		// Rebind the swap journal hook to the live entry (the scratch
-		// entry it was built against is discarded here).
-		mm.onSwap = e.journalSwapRecord
-	}
 	e.model.Store(scratch.model.Load())
 	e.hibernated.Store(false)
 	e.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/manage"
@@ -18,19 +17,17 @@ import (
 	"repro/tbs"
 )
 
-// This file is the online model-management loop of the paper (Section 6)
-// wired into the multi-tenant server: a stream can carry a managed model
-// that is scored on every closed batch at the engine's batch boundary,
-// and retrained from the current temporally-biased sample when the
-// retraining policy fires. The split of work is what keeps ingest
-// throughput unaffected:
+// This file wires the online model-management loop of the paper
+// (Section 6) into the multi-tenant server. Its rules live once, in
+// manage.Manager; the server runs the manager's phases apart, which is
+// what keeps ingest throughput unaffected:
 //
 //	ingest request  → append to the open batch (no model work at all)
-//	batch boundary  → score + policy decision + sample snapshot, on the
-//	                  engine shard worker (the apply path, already
-//	                  asynchronous to ingest)
+//	batch boundary  → Score, then Fold (advance the sampler, ask the
+//	                  policy, realize the sample to fit), on the engine
+//	                  shard worker under the entry lock
 //	retrain         → parse + fit on the engine's background lane, then
-//	                  an atomic swap of the deployed model
+//	                  Deploy, an atomic swap of the deployed model
 //
 // Determinism: the boundary waits for the previous retrain to have
 // swapped before scoring (waitIdle), so the model scoring batch t is
@@ -443,25 +440,22 @@ func trainModel(spec ModelSpec, snap []Item, rows *rowCache) (*deployedModel, er
 	return d, nil
 }
 
-// managedModel is the per-stream model-management state. The deployed
-// model is an atomic pointer so /predict never takes a lock that a
-// retrain holds; everything else (policy state, counters) lives under mu.
-// cond signals inFlight clearing.
+// managedModel is the per-stream model-management state. Its manager
+// holds the rules of the paper's step over the stream's sampler; this
+// type decides where each phase runs and what it records. The manager
+// publishes the deployed model atomically, so /predict never takes a lock
+// that a retrain holds; everything else (counters, policy state) lives
+// under mu. cond signals inFlight clearing.
 type managedModel struct {
-	spec     ModelSpec
-	policy   manage.Policy
-	deployed atomic.Pointer[deployedModel]
+	spec   ModelSpec
+	policy manage.Policy // the manager's policy, read for its state
+	mgr    *manage.Manager[Item, *deployedModel]
 
 	// runBg dispatches a retrain job off the apply path; it returns an
 	// error when no background lane exists and the caller must run the job
 	// inline. metrics receives retrain/score observations.
 	runBg   func(func()) error
 	metrics *Metrics
-
-	// onSwap, when set, journals each completed retrain deployment to the
-	// WAL (entry.journalSwapRecord). Assigned before the model is
-	// published to its entry, never after.
-	onSwap func(retrains uint64)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -471,8 +465,6 @@ type managedModel struct {
 	// rowCache for why it needs no lock.
 	rows *rowCache
 
-	t             int     // batch boundaries scored since attach/restore
-	retrains      uint64  // completed successful (re)trainings
 	staleness     int     // boundaries since the last successful training
 	lastErr       float64 // model error on the latest batch (NaN: unscorable)
 	errSum        float64 // cumulative error over scorable batches
@@ -486,19 +478,22 @@ type managedModel struct {
 	// advances — re-encoding it every pass would be O(sample) per stream
 	// per checkpoint interval for nothing.
 	encCache    []byte
-	encRetrains uint64
+	encRetrains int
 	encValid    bool
 }
 
-// newManagedModel builds the runtime state for a validated spec.
-func newManagedModel(spec ModelSpec, runBg func(func()) error, metrics *Metrics) (*managedModel, error) {
+// newManagedModel builds the runtime state for a validated spec over the
+// stream's sampler.
+func newManagedModel(spec ModelSpec, sampler *tbs.Concurrent[Item], runBg func(func()) error, metrics *Metrics) (*managedModel, error) {
 	policy, err := spec.buildPolicy()
 	if err != nil {
 		return nil, err
 	}
 	mm := &managedModel{spec: spec, policy: policy, runBg: runBg, metrics: metrics, lastErr: math.NaN(), rows: newRowCache()}
 	mm.cond = sync.NewCond(&mm.mu)
-	return mm, nil
+	fit := func(snap []Item) (*deployedModel, error) { return trainModel(spec, snap, mm.rows) }
+	mm.mgr, err = manage.New[Item](sampler, fit, mm.score, policy)
+	return mm, err
 }
 
 // waitIdle blocks until no retrain is in flight. Callers rely on it for
@@ -512,14 +507,10 @@ func (mm *managedModel) waitIdle() {
 	mm.mu.Unlock()
 }
 
-// score evaluates the deployed model on the labeled rows of a batch:
+// score evaluates a model on the labeled rows of a batch:
 // misclassification percentage for classifiers, MSE for linreg, NaN when
-// there is no model or no labeled row.
-func (mm *managedModel) score(batch []Item) float64 {
-	d := mm.deployed.Load()
-	if d == nil {
-		return math.NaN()
-	}
+// the batch holds no labeled row.
+func (mm *managedModel) score(d *deployedModel, batch []Item) float64 {
 	wrong, n := 0, 0
 	sqSum := 0.0
 	for _, r := range mm.rows.scoreRows(batch) {
@@ -545,28 +536,24 @@ func (mm *managedModel) score(batch []Item) float64 {
 	return sqSum / float64(n)
 }
 
-// onBoundary runs the paper's Step at one batch boundary: wait for the
-// previous retrain to deploy, score the incoming batch with the deployed
-// model, fold the batch into the sample, and dispatch a retrain from the
-// current sample if the policy fires (or no model exists yet). It is
-// called on the engine shard worker with the entry lock held, so the
-// whole step is atomic with respect to checkpoints — a checkpoint can
-// never observe the sampler advanced past a boundary whose policy
-// decision it has not yet captured.
+// onBoundary runs the paper's step at one batch boundary, on the engine
+// shard worker with the entry lock held. It waits for the previous
+// retrain to deploy, then scores the batch and folds it into the sample,
+// so the whole step is atomic with respect to checkpoints. A fit that the
+// fold orders runs on the background lane, or inline without one.
 // onBoundary owns btr, the boundary trace (nil when tracing is off): it
 // records the score and policy stages and finishes the trace — unless a
 // retrain fires, in which case trainAndSwap finishes it after recording
 // the retrain and swap stages.
-func (mm *managedModel) onBoundary(sampler *tbs.Concurrent[Item], batch []Item, btr *obs.Trace) {
+func (mm *managedModel) onBoundary(batch []Item, btr *obs.Trace) {
 	mm.waitIdle()
 	scoreStart := time.Now()
-	errScore := mm.score(batch)
+	errScore := mm.mgr.Score(batch)
 	btr.StageSince(obs.StageScore, scoreStart)
-	sampler.Advance(batch)
 
 	policyStart := time.Now()
 	mm.mu.Lock()
-	mm.t++
+	snap := mm.mgr.Fold(batch, errScore)
 	mm.staleness++
 	mm.lastErr = errScore
 	if !math.IsNaN(errScore) {
@@ -574,70 +561,46 @@ func (mm *managedModel) onBoundary(sampler *tbs.Concurrent[Item], batch []Item, 
 		mm.errN++
 		mm.metrics.ObserveModelScore()
 	}
-	fire := mm.policy.ShouldRetrain(mm.t, errScore) || mm.deployed.Load() == nil
-	var snap []Item
-	if fire {
-		// Realize the sample through the zero-alloc append machinery into
-		// a buffer owned by the retrain job. For R-TBS this consumes RNG
-		// draws, which is why the snapshot happens here, inside the
-		// entry-locked boundary: the sampler's stochastic process stays a
-		// deterministic function of the batch sequence.
-		snap = sampler.AppendSample(make([]Item, 0, int(sampler.ExpectedSize())+8))
-		if len(snap) == 0 {
-			fire = false // nothing to train on yet; mirror manage.Manager
-		}
-	}
-	if fire {
-		mm.inFlight = true
-	}
+	mm.inFlight = snap != nil
 	mm.mu.Unlock()
 	btr.StageSince(obs.StagePolicy, policyStart)
 
-	if fire {
-		job := func() { mm.trainAndSwap(snap, btr) }
-		if mm.runBg == nil || mm.runBg(job) != nil {
-			job()
-		}
-	} else {
+	if snap == nil {
 		btr.Finish(0)
+		return
+	}
+	job := func() { mm.trainAndSwap(snap, btr) }
+	if mm.runBg == nil || mm.runBg(job) != nil {
+		job()
 	}
 }
 
 // trainAndSwap fits a replacement model from a sample snapshot and
-// atomically deploys it; a failed training keeps the previous model
-// (manage.Manager semantics). Runs on the background lane — or inline
-// when the lane is absent or draining.
+// deploys it. Runs on the background lane — or inline when the lane is
+// absent or draining.
 func (mm *managedModel) trainAndSwap(snap []Item, btr *obs.Trace) {
 	trainStart := time.Now()
 	model, err := trainModel(mm.spec, snap, mm.rows)
 	btr.StageSince(obs.StageRetrain, trainStart)
 	swapStart := time.Now()
 	mm.mu.Lock()
+	// Deploy keeps the old model when the fit failed; lastTrainError
+	// records the fit's own error, not Deploy's wrapped one.
+	_ = mm.mgr.Deploy(model, err)
+	status := 0
 	if err != nil {
 		mm.trainFailures++
 		mm.lastTrainErr = err.Error()
-		mm.metrics.ObserveRetrain(false)
+		status = 1
 	} else {
-		mm.deployed.Store(model)
-		mm.retrains++
 		mm.staleness = 0
 		mm.lastTrainErr = ""
-		mm.metrics.ObserveRetrain(true)
-		if mm.onSwap != nil {
-			// Journal the deployment. Replay recomputes retrains from the
-			// boundary sequence, so this record is bookkeeping — but it
-			// makes every acknowledged model swap visible in the log.
-			mm.onSwap(mm.retrains)
-		}
 	}
+	mm.metrics.ObserveRetrain(err == nil)
 	mm.inFlight = false
 	mm.cond.Broadcast()
 	mm.mu.Unlock()
 	btr.StageSince(obs.StageSwap, swapStart)
-	status := 0
-	if err != nil {
-		status = 1
-	}
 	btr.Finish(status)
 }
 
@@ -669,14 +632,14 @@ func (mm *managedModel) stats() modelStats {
 	st := modelStats{
 		Learner:       mm.spec.Learner,
 		Policy:        mm.spec.Policy,
-		Batches:       mm.t,
+		Batches:       mm.mgr.T(),
 		ScoredBatches: mm.errN,
-		Retrains:      mm.retrains,
+		Retrains:      uint64(mm.mgr.Retrains()),
 		Staleness:     mm.staleness,
 		TrainFailures: mm.trainFailures,
 		LastTrainErr:  mm.lastTrainErr,
 	}
-	if d := mm.deployed.Load(); d != nil {
+	if d, ok := mm.mgr.Model(); ok {
 		st.HasModel = true
 		st.TrainSize = d.trainSize
 	}
@@ -723,8 +686,8 @@ func (mm *managedModel) capture() (*modelCheckpoint, error) {
 	defer mm.mu.Unlock()
 	st := &modelCheckpoint{
 		Spec:          mm.spec,
-		T:             mm.t,
-		Retrains:      mm.retrains,
+		T:             mm.mgr.T(),
+		Retrains:      uint64(mm.mgr.Retrains()),
 		Staleness:     mm.staleness,
 		ErrSum:        mm.errSum,
 		ErrN:          mm.errN,
@@ -739,13 +702,13 @@ func (mm *managedModel) capture() (*modelCheckpoint, error) {
 		ps := sp.State()
 		st.PolicyState = &ps
 	}
-	if d := mm.deployed.Load(); d != nil {
-		if !mm.encValid || mm.encRetrains != mm.retrains {
+	if d, ok := mm.mgr.Model(); ok {
+		if !mm.encValid || mm.encRetrains != mm.mgr.Retrains() {
 			data, err := d.gobBytes()
 			if err != nil {
 				return nil, fmt.Errorf("model: encode deployed %s: %w", d.kind, err)
 			}
-			mm.encCache, mm.encRetrains, mm.encValid = data, mm.retrains, true
+			mm.encCache, mm.encRetrains, mm.encValid = data, mm.mgr.Retrains(), true
 		}
 		st.Model = mm.encCache
 		st.TrainSize = d.trainSize
@@ -754,18 +717,16 @@ func (mm *managedModel) capture() (*modelCheckpoint, error) {
 }
 
 // restoreManagedModel rebuilds the runtime state from a checkpoint
-// record.
-func restoreManagedModel(st *modelCheckpoint, runBg func(func()) error, metrics *Metrics) (*managedModel, error) {
+// record, over the sampler restored beside it.
+func restoreManagedModel(st *modelCheckpoint, sampler *tbs.Concurrent[Item], runBg func(func()) error, metrics *Metrics) (*managedModel, error) {
 	spec := st.Spec
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	mm, err := newManagedModel(spec, runBg, metrics)
+	mm, err := newManagedModel(spec, sampler, runBg, metrics)
 	if err != nil {
 		return nil, err
 	}
-	mm.t = st.T
-	mm.retrains = st.Retrains
 	mm.staleness = st.Staleness
 	mm.errSum, mm.errN = st.ErrSum, st.ErrN
 	mm.trainFailures, mm.lastTrainErr = st.TrainFailures, st.LastTrainErr
@@ -777,15 +738,15 @@ func restoreManagedModel(st *modelCheckpoint, runBg func(func()) error, metrics 
 			sp.SetState(*st.PolicyState)
 		}
 	}
+	var d *deployedModel
 	if len(st.Model) > 0 {
-		d, err := decodeDeployed(spec.Learner, st.Model, st.TrainSize)
-		if err != nil {
+		if d, err = decodeDeployed(spec.Learner, st.Model, st.TrainSize); err != nil {
 			return nil, err
 		}
-		mm.deployed.Store(d)
 		// The checkpoint bytes are the current encoding; prime the cache
 		// so the first post-restore checkpoint pass skips the re-encode.
-		mm.encCache, mm.encRetrains, mm.encValid = st.Model, mm.retrains, true
+		mm.encCache, mm.encRetrains, mm.encValid = st.Model, int(st.Retrains), true
 	}
+	mm.mgr.Resume(st.T, int(st.Retrains), d, d != nil)
 	return mm, nil
 }

@@ -110,7 +110,8 @@ func TestTrainModelColdWarmCache(t *testing.T) {
 // whose wire form is {K, Xs, Ys}.
 func (h *harness) knnTrainingSet(key string) (k int, xs [][]float64, ys []int) {
 	h.t.Helper()
-	data, err := h.srv.reg.lookup(key).model.Load().deployed.Load().knn.GobEncode()
+	d, _ := h.srv.reg.lookup(key).model.Load().mgr.Model()
+	data, err := d.knn.GobEncode()
 	if err != nil {
 		h.t.Fatal(err)
 	}

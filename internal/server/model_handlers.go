@@ -54,12 +54,11 @@ func (s *Server) handleModelAttach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer e.unpin()
-	mm, err := newManagedModel(spec, s.runBackground, s.metrics)
+	mm, err := newManagedModel(spec, e.sampler, s.runBackground, s.metrics)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody("bad_model_spec", err.Error(), nil))
 		return
 	}
-	mm.onSwap = e.journalSwapRecord
 	lsn, err := e.attachModel(mm)
 	if err == nil {
 		err = s.syncWAL(lsn)
@@ -187,8 +186,8 @@ func (s *Server) handleModelPredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(nil, w, err)
 		return
 	}
-	d := mm.deployed.Load()
-	if d == nil {
+	d, ok := mm.mgr.Model()
+	if !ok {
 		writeJSON(w, http.StatusConflict, errorBody("model_not_trained",
 			"no model deployed yet: ingest labeled items and advance the stream", nil))
 		return

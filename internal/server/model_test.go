@@ -329,9 +329,11 @@ func TestPredictDuringRetrainRace(t *testing.T) {
 		CheckpointInterval: 2 * time.Millisecond,
 	})
 	h.attachModel("hot", map[string]any{"learner": "knn", "policy": "always"})
-	// Deploy the first model so readers see 200s.
+	// Deploy the first model so readers see 200s. The first retrain runs
+	// on the background lane; the stats read waits it out.
 	h.do("POST", "/v1/streams/hot/items", labeledBatch(0, 20), http.StatusOK, nil)
 	h.do("POST", "/v1/streams/hot/advance", nil, http.StatusOK, nil)
+	h.modelStats("hot")
 
 	stop := make(chan struct{})
 	var served atomic.Int64

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -345,7 +344,7 @@ func (e *entry) applyBatch(batch []Item, btr *obs.Trace) (batchLen int, batches 
 		// deployed model on the batch first (the paper predicts each
 		// incoming batch with the model trained on data up to t−1), then
 		// fold the batch in and let the policy decide about retraining.
-		mm.onBoundary(e.sampler, batch, btr)
+		mm.onBoundary(batch, btr)
 	} else {
 		e.sampler.Advance(batch)
 		btr.Finish(0)
@@ -514,22 +513,6 @@ func (e *entry) detachModel() (had bool, lsn uint64, err error) {
 		e.dirty = true
 	}
 	return had, lsn, nil
-}
-
-// journalSwapRecord logs a completed retrain deployment. Replay never
-// applies these (retrains are recomputed deterministically from the
-// boundary sequence); they exist so operators and the recovery metrics
-// can account for every model swap the pre-crash server acknowledged
-// through its stats. Called from the background training lane, so it must
-// not take e.mu (a checkpoint holding e.mu waits for that lane to idle).
-func (e *entry) journalSwapRecord(retrains uint64) {
-	if e.wal == nil {
-		return
-	}
-	var ord [8]byte
-	binary.BigEndian.PutUint64(ord[:], retrains)
-	// An error here has already poisoned the log; nothing to do inline.
-	_, _ = e.wal.AppendRecord(wal.TypeRetrainSwap, e.key, ord[:])
 }
 
 // journalSampleRead journals one RNG-consuming sample realization and

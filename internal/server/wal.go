@@ -101,6 +101,12 @@ func (s *Server) compactWAL() {
 func (s *Server) replayWAL() (int, error) {
 	replayed := 0
 	err := s.wal.Replay(func(r wal.Record) error {
+		if r.Type == wal.TypeRetrainSwap {
+			// Older logs hold these. Replaying a boundary recomputes its
+			// swap, and a swap record that landed after its stream's
+			// tombstone must not recreate the stream below.
+			return nil
+		}
 		e := s.reg.lookup(r.Key)
 		if e != nil {
 			e.mu.Lock()
@@ -155,11 +161,10 @@ func (s *Server) applyReplayRecord(e *entry, r wal.Record) error {
 		if err := spec.normalize(); err != nil {
 			return fmt.Errorf("server: wal replay, model attach for %q: %w", r.Key, err)
 		}
-		mm, err := newManagedModel(spec, s.runBackground, s.metrics)
+		mm, err := newManagedModel(spec, e.sampler, s.runBackground, s.metrics)
 		if err != nil {
 			return fmt.Errorf("server: wal replay, model attach for %q: %w", r.Key, err)
 		}
-		mm.onSwap = e.journalSwapRecord
 		if _, err := e.attachModel(mm); err != nil {
 			return err
 		}
@@ -175,9 +180,6 @@ func (s *Server) applyReplayRecord(e *entry, r wal.Record) error {
 		e.sampler.AppendSample(nil)
 		e.setWalLSN(r.LSN)
 		e.markDirty()
-	case wal.TypeRetrainSwap:
-		// Informational: the swap was recomputed by replaying its
-		// boundary. Nothing to apply.
 	}
 	return nil
 }

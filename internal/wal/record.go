@@ -24,10 +24,10 @@ const (
 	TypeModelAttach Type = 3
 	// TypeModelDetach marks a model removal.
 	TypeModelDetach Type = 4
-	// TypeRetrainSwap marks a completed retrain deployment, carrying the
-	// stream's retrain ordinal. Replay recomputes retrains
-	// deterministically from the boundary sequence, so these records are
-	// informational (counted, never applied).
+	// TypeRetrainSwap marked a completed retrain deployment, carrying the
+	// stream's retrain ordinal. tbsd no longer writes it: replay
+	// recomputes every retrain from the boundary sequence. It stays
+	// decodable so older logs still open, and replay skips it.
 	TypeRetrainSwap Type = 5
 	// TypeStreamDelete marks a stream deletion; replay drops the stream
 	// and every record journaled for it before this point.
