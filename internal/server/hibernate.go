@@ -137,7 +137,8 @@ func (s *Server) ensureResident(e *entry) error {
 
 // hydrate rebuilds a hibernated entry from its checkpoint file and the
 // WAL records past the file's WalLSN — the boot-restore path, run for
-// one stream on demand. Called by the single request that claimed the
+// one stream on demand. It reads the log only when the stub's walLSN lies
+// past that WalLSN. Called by the single request that claimed the
 // entry's hydration slot; it clears e.hyd in every outcome. Every
 // failure is classified 500 hydrate_failed (errHydrateFailed), and the
 // stub stays intact for a retry.
@@ -157,7 +158,19 @@ func (s *Server) hydrate(e *entry) (err error) {
 	tr.StageSince(obs.StageReadCkpt, readStart)
 	var tail func(uint64) ([]wal.Record, error)
 	if s.wal != nil {
-		tail = func(lsn uint64) ([]wal.Record, error) { return s.wal.TailForKey(e.key, lsn) }
+		e.mu.Lock()
+		stubLSN := e.walLSN
+		e.mu.Unlock()
+		tail = func(lsn uint64) ([]wal.Record, error) {
+			if stubLSN <= lsn {
+				// The file covers the stub's newest record, so the key has
+				// no tail. Eviction checkpoints a dirty entry, so this holds
+				// unless a checkpoint pass was still writing the file when
+				// the stream was evicted.
+				return nil, nil
+			}
+			return s.wal.TailForKey(e.key, lsn)
+		}
 	}
 	// Rebuild on a scratch entry, outside e.mu: the queued-boundary and
 	// tail replays re-run full model steps, none of which may hold the

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wal"
 	"repro/tbs"
 )
 
@@ -144,6 +145,37 @@ func TestHydrateRunsBootChecks(t *testing.T) {
 	}
 	if got := h.stats("swap"); got != want {
 		t.Fatalf("stats after the right file is back: %+v, want %+v", got, want)
+	}
+}
+
+// TestHydrateReplaysTail: a stub whose walLSN lies past its checkpoint
+// file's WalLSN hydrates through its WAL tail. Such a stub is rare
+// (hibernation checkpoints every dirty entry), so the test makes one: it
+// journals one more item record for a hibernated stream straight into
+// the log and moves the stub's walLSN to it. The cold hit must count
+// that item.
+func TestHydrateReplaysTail(t *testing.T) {
+	h := newHarness(t, tieredOptions(t, 23))
+	h.driveStream("tail", 1, 3)
+	before := h.stats("tail")
+	if _, err := h.srv.HibernatePass(); err != nil {
+		t.Fatal(err)
+	}
+	e := h.srv.reg.lookup("tail")
+	if e == nil || !e.hibernated.Load() {
+		t.Fatal("stream not hibernated after the pass")
+	}
+	lsn, err := wal.AppendItems(h.srv.wal, "tail", [][]byte{[]byte(`{"v":99}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	e.walLSN = lsn
+	e.mu.Unlock()
+	got := h.stats("tail")
+	if got.Ingested != before.Ingested+1 || got.Pending != before.Pending+1 {
+		t.Fatalf("after hydration: ingested %d, pending %d; want %d, %d (the tail item)",
+			got.Ingested, got.Pending, before.Ingested+1, before.Pending+1)
 	}
 }
 

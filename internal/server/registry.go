@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -238,9 +239,15 @@ func (e *entry) appendMode(items []Item, maxPending int, adopt bool) (pending in
 
 // replayAppend is append for WAL recovery: no limit (the original request
 // was accepted under whatever limit then applied) and no re-journaling.
+// The open batch draws its array from the batch pool, as appendMode's
+// does, and grows once per record.
 func (e *entry) replayAppend(items [][]byte, lsn uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.pending == nil {
+		e.pending = acquireBatchSlice()
+	}
+	e.pending = slices.Grow(e.pending, len(items))
 	for _, it := range items {
 		e.pending = append(e.pending, Item(it))
 	}

@@ -65,9 +65,8 @@ func (s *Server) noteJournalErr(err error) {
 // record of it exists above ANY truncation point, so its (possibly
 // ancient) durable LSN must not pin the log. Without this exclusion an
 // idle long-durable tenant pins every later tenant's traffic forever,
-// and with memory tiering the cost compounds: cold-miss rehydration
-// replays TailForKey over whatever the log retains, so a pinned log
-// turns every cold hit into a full-log scan.
+// and every TailForKey (a handoff export, or the hydration of a stub
+// that journaled past its checkpoint) scans whatever the log retains.
 func (s *Server) compactWAL() {
 	if s.wal == nil {
 		return

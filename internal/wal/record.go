@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -58,7 +59,9 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// Record is one decoded WAL record.
+// Record is one decoded WAL record. Items and Data alias one buffer per
+// record, which the log never reuses, so a caller may keep them: a kept
+// item pins its record's buffer.
 type Record struct {
 	LSN  uint64
 	Type Type
@@ -129,59 +132,99 @@ func appendPayloadHeader(buf []byte, lsn uint64, t Type, key string) []byte {
 	return append(buf, key...)
 }
 
-// decodeRecord parses one frame payload. It must never panic on arbitrary
-// input (the decoder is fuzzed): every length is bounds-checked before
-// use.
-func decodeRecord(payload []byte) (Record, error) {
-	var r Record
+// header locates the fields of a payload that checkRecord accepted. It
+// holds offsets rather than slices, so it also reads a copy of that
+// payload.
+type header struct {
+	lsn   uint64
+	typ   Type
+	key   int // the key is payload[key:body]
+	body  int // Data, or the item count and the items of a TypeItemAppend
+	count int
+}
+
+// checkRecord checks one frame payload without decoding it: the LSN
+// varint, the type, the key length and, for an item-append, every item
+// length and the absence of trailing bytes. It is the one place that
+// bounds-checks a payload, it allocates nothing on an accepted payload,
+// and it must never panic on arbitrary input (it is fuzzed).
+//
+//tbs:zeroalloc
+func checkRecord(payload []byte) (header, error) {
+	var h header
 	lsn, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return r, fmt.Errorf("wal: record: bad LSN varint")
+		return h, errBadLSN
 	}
-	payload = payload[n:]
-	if len(payload) < 1 {
-		return r, fmt.Errorf("wal: record %d: missing type byte", lsn)
+	if n >= len(payload) {
+		return h, recordErr(lsn, "missing type byte")
 	}
-	t := Type(payload[0])
-	payload = payload[1:]
+	t := Type(payload[n])
 	if t < TypeItemAppend || t > TypeSampleRead {
-		return r, fmt.Errorf("wal: record %d: unknown type %d", lsn, uint8(t))
+		return h, recordErr(lsn, "unknown type %d", uint8(t))
 	}
-	keyLen, n := binary.Uvarint(payload)
-	if n <= 0 || keyLen > uint64(len(payload[n:])) {
-		return r, fmt.Errorf("wal: record %d: bad key length", lsn)
+	keyLen, m := binary.Uvarint(payload[n+1:])
+	if m <= 0 || keyLen > uint64(len(payload)-n-1-m) {
+		return h, recordErr(lsn, "bad key length")
 	}
-	payload = payload[n:]
-	r.LSN = lsn
-	r.Type = t
-	r.Key = string(payload[:keyLen])
-	payload = payload[keyLen:]
-
+	h.lsn, h.typ = lsn, t
+	h.key = n + 1 + m
+	h.body = h.key + int(keyLen)
 	if t != TypeItemAppend {
-		if len(payload) > 0 {
-			r.Data = append([]byte(nil), payload...)
-		}
-		return r, nil
+		return h, nil
 	}
-	count, n := binary.Uvarint(payload)
-	if n <= 0 || count > uint64(len(payload[n:])) {
+	rest := payload[h.body:]
+	count, n := binary.Uvarint(rest)
+	if n <= 0 || count > uint64(len(rest)-n) {
 		// Each item costs at least one length byte, so count can never
-		// exceed the remaining payload size — reject before allocating.
-		return r, fmt.Errorf("wal: record %d: bad item count", lsn)
+		// exceed the remaining payload size.
+		return h, recordErr(lsn, "bad item count")
 	}
-	payload = payload[n:]
-	r.Items = make([][]byte, 0, count)
+	rest = rest[n:]
 	for i := uint64(0); i < count; i++ {
-		itemLen, n := binary.Uvarint(payload)
-		if n <= 0 || itemLen > uint64(len(payload[n:])) {
-			return r, fmt.Errorf("wal: record %d: bad length for item %d", lsn, i)
+		itemLen, n := binary.Uvarint(rest)
+		if n <= 0 || itemLen > uint64(len(rest)-n) {
+			return h, recordErr(lsn, "bad length for item %d", i)
 		}
-		payload = payload[n:]
-		r.Items = append(r.Items, append([]byte(nil), payload[:itemLen]...))
-		payload = payload[itemLen:]
+		rest = rest[n+int(itemLen):]
 	}
-	if len(payload) != 0 {
-		return r, fmt.Errorf("wal: record %d: %d trailing bytes after %d items", lsn, len(payload), count)
+	if len(rest) != 0 {
+		return h, recordErr(lsn, "%d trailing bytes after %d items", len(rest), count)
 	}
-	return r, nil
+	h.count = int(count)
+	return h, nil
+}
+
+var errBadLSN = errors.New("wal: record: bad LSN varint")
+
+// recordErr describes why record lsn was rejected. It formats outside
+// checkRecord, which must not allocate on an accepted payload.
+func recordErr(lsn uint64, format string, args ...any) error {
+	return fmt.Errorf("wal: record %d: %s", lsn, fmt.Sprintf(format, args...))
+}
+
+// decodeRecord decodes a payload that checkRecord accepted as h, and
+// trusts that check instead of repeating it. Items and Data alias the
+// payload, each sliced with its capacity equal to its length, so the
+// record owns the payload from here on and an append to one item cannot
+// write into its neighbour.
+func decodeRecord(payload []byte, h header) Record {
+	r := Record{LSN: h.lsn, Type: h.typ, Key: string(payload[h.key:h.body])}
+	b := payload[h.body:len(payload):len(payload)]
+	if h.typ != TypeItemAppend {
+		if len(b) > 0 {
+			r.Data = b
+		}
+		return r
+	}
+	_, w := binary.Uvarint(b) // the item count
+	b = b[w:]
+	r.Items = make([][]byte, h.count)
+	for i := range r.Items {
+		n, w := binary.Uvarint(b)
+		end := w + int(n)
+		r.Items[i] = b[w:end:end]
+		b = b[end:]
+	}
+	return r
 }

@@ -27,13 +27,15 @@
 // Besides boot-time Replay, the log serves targeted tails: TailForKey
 // collects one stream's records after a given LSN, skipping sealed
 // segments wholly below the cutoff. Stream handoff ships such a tail to
-// the adopting node, and memory tiering replays one on every cold-hit
-// rehydration — which is why compaction hygiene directly bounds cold-hit
-// latency.
+// the adopting node, and memory tiering replays one on a cold hit whose
+// stub journaled past its checkpoint. Every read goes through one frame
+// loop: each record it returns aliases a buffer of its own, and the
+// frames it passes over are checked, not decoded, in one shared buffer.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -183,7 +185,7 @@ func Open(opts Options) (*Log, error) {
 		return l, nil
 	}
 	last := segs[len(segs)-1]
-	validEnd, lastLSN, err := scanSegment(last.path, last.first, true)
+	validEnd, lastLSN, err := scan(segs[len(segs)-1:], nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -255,49 +257,79 @@ func (l *Log) openSegment(lsn uint64) error {
 	return nil
 }
 
-// scanSegment walks a segment's frames, returning the byte offset after
-// the last valid record and that record's LSN (first-1 when the segment
-// is empty). With tolerateTail true a framing/CRC error is treated as the
-// end of the log (the expected crash artifact); otherwise it is returned.
-func scanSegment(path string, first uint64, tolerateTail bool) (validEnd int64, lastLSN uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
+// readBufferBytes sizes a scan's read buffer: large enough that one read
+// moves many frames, and small enough that it costs little to allocate
+// next to a short log and stays in cache while frames are copied out.
+const readBufferBytes = 64 << 10
+
+// scan reads the frames of segs in order. It is the one loop that reads
+// the log, for Open, Replay and TailForKey. Every frame's length, CRC,
+// record shape and LSN are checked, and nothing else is decoded: keep
+// picks the records to return (nil keeps none), and only those are
+// decoded and passed to fn. A returned record owns its buffer; the frames
+// not returned share one. A bad frame ends the scan cleanly in the last
+// segment (a torn tail) and is an error in any other. end and last are
+// the offset after the last good frame of the last segment and its LSN
+// (the segment's first LSN minus one when it holds none).
+func scan(segs []segment, keep func(lsn uint64, key []byte) bool, fn func(Record) error) (end int64, last uint64, err error) {
+	var br *bufio.Reader
+	var buf []byte
+	for i, seg := range segs {
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return 0, 0, err
+		}
+		if br == nil {
+			br = bufio.NewReaderSize(f, readBufferBytes)
+		} else {
+			br.Reset(f)
+		}
+		end, last = 0, seg.first-1
+		for {
+			payload, n, err := readFrame(br, buf)
+			var h header
+			if err == nil {
+				buf = payload
+				h, err = checkRecord(payload)
+			}
+			if err == nil && h.lsn != last+1 {
+				err = fmt.Errorf("LSN %d where %d expected", h.lsn, last+1)
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				f.Close()
+				if i == len(segs)-1 {
+					return end, last, nil
+				}
+				return 0, 0, fmt.Errorf("wal: %s at offset %d: %w", seg.path, end, err)
+			}
+			end += n
+			last = h.lsn
+			if keep == nil || !keep(h.lsn, payload[h.key:h.body]) {
+				continue
+			}
+			if cap(payload) > len(payload) {
+				payload = bytes.Clone(payload) // it sits in the shared buffer
+			} else {
+				buf = nil // the record takes the buffer
+			}
+			if err := fn(decodeRecord(payload, h)); err != nil {
+				f.Close()
+				return 0, 0, err
+			}
+		}
+		f.Close()
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	lastLSN = first - 1
-	expect := first
-	for {
-		payload, frameLen, rerr := readFrame(br)
-		if rerr == io.EOF {
-			return validEnd, lastLSN, nil
-		}
-		if rerr != nil {
-			if tolerateTail {
-				return validEnd, lastLSN, nil
-			}
-			return validEnd, lastLSN, fmt.Errorf("wal: %s at offset %d: %w", path, validEnd, rerr)
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil || rec.LSN != expect {
-			if tolerateTail {
-				return validEnd, lastLSN, nil
-			}
-			if derr == nil {
-				derr = fmt.Errorf("wal: %s: LSN %d where %d expected", path, rec.LSN, expect)
-			}
-			return validEnd, lastLSN, derr
-		}
-		validEnd += frameLen
-		lastLSN = rec.LSN
-		expect++
-	}
+	return end, last, nil
 }
 
-// readFrame reads one [len][crc][payload] frame. io.EOF means a clean end
-// of segment; every other error means a torn or corrupt frame.
-func readFrame(br *bufio.Reader) (payload []byte, frameLen int64, err error) {
+// readFrame reads one [len][crc][payload] frame into buf, or into a
+// fresh buffer of the payload's length when buf is too small. io.EOF
+// means a clean end of segment; every other error means a torn or
+// corrupt frame.
+func readFrame(br *bufio.Reader, buf []byte) (payload []byte, frameLen int64, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -309,7 +341,10 @@ func readFrame(br *bufio.Reader) (payload []byte, frameLen int64, err error) {
 	if n == 0 || n > maxPayloadBytes {
 		return nil, 0, fmt.Errorf("implausible frame length %d", n)
 	}
-	payload = make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, 0, fmt.Errorf("torn frame payload: %w", err)
 	}
@@ -329,59 +364,21 @@ func (l *Log) Replay(fn func(Record) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segments...)
 	l.mu.Unlock()
-	for i, seg := range segs {
-		lastSeg := i == len(segs)-1
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return err
-		}
-		br := bufio.NewReaderSize(f, 1<<20)
-		expect := seg.first
-		for {
-			payload, _, rerr := readFrame(br)
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				f.Close()
-				if lastSeg {
-					return nil // torn tail, already truncated by Open
-				}
-				return fmt.Errorf("wal: %s: %w", seg.path, rerr)
-			}
-			rec, derr := decodeRecord(payload)
-			if derr != nil || rec.LSN != expect {
-				f.Close()
-				if lastSeg {
-					return nil
-				}
-				if derr == nil {
-					derr = fmt.Errorf("LSN %d where %d expected", rec.LSN, expect)
-				}
-				return fmt.Errorf("wal: %s: %w", seg.path, derr)
-			}
-			if err := fn(rec); err != nil {
-				f.Close()
-				return err
-			}
-			expect++
-		}
-		f.Close()
-	}
-	return nil
+	_, _, err := scan(segs, func(uint64, []byte) bool { return true }, fn)
+	return err
 }
 
 // TailForKey returns every record for key with LSN > afterLSN, in LSN
 // order — the migration export: a stream handoff ships the stream's
 // checkpoint envelope plus this tail, so the target can replay anything
 // the envelope's WalLSN does not cover. Stream rehydration replays the
-// same tail on a cold hit, so the scan skips whole segments the afterLSN
-// already covers — for a freshly-checkpointed stream only the records
-// appended since its eviction are decoded, not the entire log. It scans
-// like Replay but may run on a live log; a torn or half-written frame at
-// the very tail (a concurrent append in flight) ends the scan cleanly,
-// which is safe because the caller has frozen the exported stream —
-// records still being written belong to other keys.
+// same tail on a cold hit when the stub journaled past its checkpoint.
+// The scan skips whole segments the afterLSN already covers, and it
+// checks but does not decode the frames of other keys. It may run on a
+// live log; a torn or half-written frame at the very tail (a concurrent
+// append in flight) ends the scan cleanly, which is safe because the
+// caller has frozen the exported stream — records still being written
+// belong to other keys.
 func (l *Log) TailForKey(key string, afterLSN uint64) ([]Record, error) {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segments...)
@@ -391,49 +388,17 @@ func (l *Log) TailForKey(key string, afterLSN uint64) ([]Record, error) {
 		// The caller has already seen every record in the log.
 		return nil, nil
 	}
+	// A sealed segment's records end where the next begins, so every
+	// segment before the one holding afterLSN+1 holds nothing to return.
+	for len(segs) > 1 && segs[1].first <= afterLSN+1 {
+		segs = segs[1:]
+	}
 	var out []Record
-	for i, seg := range segs {
-		lastSeg := i == len(segs)-1
-		if !lastSeg && segs[i+1].first <= afterLSN+1 {
-			// A sealed segment's records end where the next begins; all of
-			// this one's LSNs are ≤ afterLSN, so nothing in it can match.
-			continue
-		}
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return nil, err
-		}
-		br := bufio.NewReaderSize(f, 1<<20)
-		expect := seg.first
-		for {
-			payload, _, rerr := readFrame(br)
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				f.Close()
-				if lastSeg {
-					return out, nil
-				}
-				return nil, fmt.Errorf("wal: %s: %w", seg.path, rerr)
-			}
-			rec, derr := decodeRecord(payload)
-			if derr != nil || rec.LSN != expect {
-				f.Close()
-				if lastSeg {
-					return out, nil
-				}
-				if derr == nil {
-					derr = fmt.Errorf("LSN %d where %d expected", rec.LSN, expect)
-				}
-				return nil, fmt.Errorf("wal: %s: %w", seg.path, derr)
-			}
-			if rec.Key == key && rec.LSN > afterLSN {
-				out = append(out, rec)
-			}
-			expect++
-		}
-		f.Close()
+	_, _, err := scan(segs,
+		func(lsn uint64, k []byte) bool { return lsn > afterLSN && string(k) == key },
+		func(r Record) error { out = append(out, r); return nil })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -47,5 +48,27 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("steady-state boundary append allocates %.2f times per record, want 0", avg)
+	}
+}
+
+// TestRecordCheckZeroAlloc: the record check that log scans run on every
+// frame, including the frames they pass over, allocates nothing.
+func TestRecordCheckZeroAlloc(t *testing.T) {
+	items := make([]json.RawMessage, 256)
+	for i := range items {
+		items[i] = json.RawMessage(fmt.Sprintf(`{"sensor":%d,"v":%d}`, i%64, i))
+	}
+	payload := appendPayloadHeader(nil, 1, TypeItemAppend, "hot-stream")
+	payload = binary.AppendUvarint(payload, uint64(len(items)))
+	for _, it := range items {
+		payload = binary.AppendUvarint(payload, uint64(len(it)))
+		payload = append(payload, it...)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := checkRecord(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("record check allocates %.2f times per record, want 0", avg)
 	}
 }
