@@ -47,9 +47,10 @@ func (l *Latent[T]) Footprint() int { return len(l.full) + len(l.partial) }
 // sample.
 func (l *Latent[T]) Full() []T { return l.full }
 
-// Realize draws a sample S from the latent state according to equation (2):
-// every full item is included, and the partial item is included with
-// probability frac(C). The returned slice is a fresh copy.
+// Realize returns the sample S realized from the latent state according to
+// equation (2): every full item, and the partial item with probability
+// frac(C) by a coin that is a pure function of the RNG state
+// (rng.StateFloat64), so Realize changes nothing. The slice is a fresh copy.
 func (l *Latent[T]) Realize(rng *xrand.RNG) []T {
 	return l.AppendRealize(rng, make([]T, 0, l.Footprint()))
 }
@@ -58,13 +59,13 @@ func (l *Latent[T]) Realize(rng *xrand.RNG) []T {
 // is appended to dst and the extended slice returned. A caller that reuses
 // the returned slice (dst = l.AppendRealize(rng, dst[:0])) realizes without
 // allocating once the buffer has grown to the sample footprint — the
-// append-side half of the zero-allocation ingest path. It consumes exactly
-// the same RNG draws as Realize.
+// append-side half of the zero-allocation ingest path. It realizes exactly
+// what Realize does.
 //
 //tbs:zeroalloc
 func (l *Latent[T]) AppendRealize(rng *xrand.RNG, dst []T) []T {
 	dst = append(dst, l.full...)
-	if len(l.partial) == 1 && rng.Bernoulli(frac(l.weight)) {
+	if len(l.partial) == 1 && rng.StateFloat64() < frac(l.weight) {
 		dst = append(dst, l.partial[0])
 	}
 	return dst

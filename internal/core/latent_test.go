@@ -33,16 +33,19 @@ func TestNewLatent(t *testing.T) {
 	}
 }
 
+// TestRealizeExpectedSize checks equation (3) over independently seeded
+// latent states: a realization's coin is a function of the RNG state, so
+// realizing one state repeatedly returns one sample by design.
 func TestRealizeExpectedSize(t *testing.T) {
-	rng := xrand.New(100)
-	l := NewLatent([]int{1, 2, 3, 4})
-	l.Downsample(rng, 3.6)
-	if !latentInvariantOK(l) {
-		t.Fatal("invariant violated after downsample")
-	}
 	const trials = 100000
 	var sizes float64
 	for i := 0; i < trials; i++ {
+		rng := xrand.New(100 + uint64(i))
+		l := NewLatent([]int{1, 2, 3, 4})
+		l.Downsample(rng, 3.6)
+		if !latentInvariantOK(l) {
+			t.Fatal("invariant violated after downsample")
+		}
 		s := l.Realize(rng)
 		if len(s) != 3 && len(s) != 4 {
 			t.Fatalf("realized size %d, want 3 or 4", len(s))

@@ -124,11 +124,12 @@ func (s *RTBS[T]) AdvanceAt(t float64, batch []T) {
 	s.latent.appendFull(batch)
 }
 
-// Sample realizes and returns the current sample Sₜ (equation (2)).
+// Sample realizes and returns the current sample Sₜ (equation (2)). It
+// changes no state, so every read and retrain until the next batch sees Sₜ.
 func (s *RTBS[T]) Sample() []T { return s.latent.Realize(s.rng) }
 
 // AppendSample realizes the current sample into a caller-owned buffer; see
-// core.AppendSampler. It consumes the same RNG draws as Sample.
+// core.AppendSampler. It realizes exactly what Sample does.
 //
 //tbs:zeroalloc
 func (s *RTBS[T]) AppendSample(dst []T) []T { return s.latent.AppendRealize(s.rng, dst) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -285,6 +286,42 @@ func TestRTBSDeterministicGivenSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("samples differ at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRTBSSampleChangesNoState: every realization between two Advance
+// calls is the same Sₜ, and realizing leaves the snapshot (RNG included)
+// unchanged. The run is unsaturated with decay, so a partial item exists
+// at each step and its coin comes out both ways across the run.
+func TestRTBSSampleChangesNoState(t *testing.T) {
+	s := mustRTBS(t, 0.3, 1000, 7)
+	s.Advance([]int{0, 1, 2})
+	withPartial, withoutPartial := 0, 0
+	var buf []int
+	for step := 1; step <= 60; step++ {
+		s.Advance([]int{3 * step, 3*step + 1, 3*step + 2})
+		if !s.Latent().HasPartial() {
+			t.Fatalf("step %d: no partial item in an unsaturated, decaying run", step)
+		}
+		before := s.Snapshot()
+		first := s.Sample()
+		if second := s.Sample(); !reflect.DeepEqual(first, second) {
+			t.Fatalf("step %d: two reads differ: %v vs %v", step, first, second)
+		}
+		if buf = s.AppendSample(buf[:0]); !reflect.DeepEqual(first, buf) {
+			t.Fatalf("step %d: AppendSample %v differs from Sample %v", step, buf, first)
+		}
+		if after := s.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("step %d: realizing changed the snapshot", step)
+		}
+		if len(first) > s.Latent().NumFull() {
+			withPartial++
+		} else {
+			withoutPartial++
+		}
+	}
+	if withPartial == 0 || withoutPartial == 0 {
+		t.Fatalf("partial item included at %d steps and excluded at %d; want both", withPartial, withoutPartial)
 	}
 }
 

@@ -10,10 +10,10 @@ type Sampler[T any] interface {
 	// retain the batch slice.
 	Advance(batch []T)
 
-	// Sample returns a freshly realized copy of the current sample Sₜ.
-	// For schemes with a latent fractional state (R-TBS) the partial item's
-	// membership is re-randomized on every call; all other items are stable
-	// between Advance calls.
+	// Sample returns a freshly realized copy of the current sample Sₜ. It
+	// changes no state, so every call between two Advance calls returns
+	// the same sample. For schemes with a latent fractional state (R-TBS)
+	// the partial item's coin is a function of the RNG state.
 	Sample() []T
 
 	// ExpectedSize returns E[|Sₜ|]: the sample weight Cₜ for fractional
@@ -22,11 +22,11 @@ type Sampler[T any] interface {
 }
 
 // AppendSampler is implemented by samplers whose realization can be
-// appended into a caller-owned buffer. AppendSample(dst[:0]) draws exactly
-// the same realization (consuming the same RNG state) as Sample, but reuses
-// dst's backing array when it has capacity — the read-side half of the
-// steady-state zero-allocation ingest path. Every scheme in this package
-// implements it; Sample is a thin copying wrapper over it.
+// appended into a caller-owned buffer. AppendSample(dst[:0]) realizes
+// exactly what Sample returns, but reuses dst's backing array when it has
+// capacity — the read-side half of the steady-state zero-allocation ingest
+// path. Every scheme in this package implements it; Sample is a thin
+// copying wrapper over it.
 type AppendSampler[T any] interface {
 	// AppendSample appends a freshly realized sample to dst and returns
 	// the extended slice. Items are value copies; for reference-typed T

@@ -111,14 +111,14 @@ func (s *Server) checkpointAll() error {
 			// write so idle tenants cost nothing per pass.
 			continue
 		}
-		if err := writeCheckpointFile(s.opts.CheckpointDir, st); err != nil {
-			e.markDirty()
+		err = writeCheckpointFile(s.opts.CheckpointDir, st)
+		e.endWrite(st.WalLSN, err)
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		e.setDurableLSN(st.WalLSN)
 		written++
 	}
 	s.metrics.ObserveCheckpoint(written, time.Since(start), firstErr)
@@ -278,14 +278,13 @@ func (s *Server) rebuild(key string, st checkpointState, tail func(walLSN uint64
 	}
 	cs := tbs.NewConcurrent(sampler)
 	e := &entry{
-		key:            key,
-		sampler:        cs,
-		sampleMutating: tbs.SampleMutates[Item](cs),
-		pending:        st.Pending,
-		ingested:       st.Ingested,
-		batches:        st.Batches,
-		walLSN:         st.WalLSN,
-		durableLSN:     st.WalLSN,
+		key:        key,
+		sampler:    cs,
+		pending:    st.Pending,
+		ingested:   st.Ingested,
+		batches:    st.Batches,
+		walLSN:     st.WalLSN,
+		durableLSN: st.WalLSN,
 		// Boot restore and hydration read the state from the checkpoint
 		// file; adoption persists one before the entry serves. In every
 		// case a file backs the entry by the time it could hibernate.

@@ -101,15 +101,15 @@ func driveWALPhase(h *harness, from, to int) {
 // TestWALCrashRecoveryDeterminism is the tentpole's acceptance test: with
 // the checkpointer effectively off, every acknowledged operation must
 // survive a kill via WAL replay alone — counters, sampler state, RNG
-// trajectory (journaled sample reads), deployed model bytes and policy
-// clock — and the resumed server must be byte-identical to an
+// trajectory, deployed model bytes and policy clock — and the resumed
+// server must be byte-identical to an
 // uninterrupted run fed the same request sequence.
 func TestWALCrashRecoveryDeterminism(t *testing.T) {
 	queries := []map[string]any{{"x": []float64{0.3, 0.1}}, {"x": []float64{10.2, 10.4}}}
 	run := func(h *harness) {
 		h.attachModel("model-k", map[string]any{"learner": "knn", "policy": "always"})
 		driveWALPhase(h, 1, 4)
-		h.sample("json-k") // journaled RNG draw mid-run
+		h.sample("json-k") // a read mid-run, which journals nothing
 	}
 
 	dir := t.TempDir()

@@ -221,7 +221,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	err = s.syncWAL(lsn)
 	tr.StageSince(obs.StageFsyncWait, fsyncStart)
 	if err != nil {
-		respond(tr, w, http.StatusInternalServerError, errorBody("wal_unavailable", err.Error(), nil))
+		s.fail(tr, w, err)
 		return
 	}
 	respond(tr, w, http.StatusOK, map[string]any{
@@ -242,6 +242,14 @@ var sampleBufPool = sync.Pool{
 	New: func() any { b := make([]Item, 0, 256); return &b },
 }
 
+// handleSample answers the stream's current realization. A read changes
+// nothing — no WAL record, no dirty mark, only the sampler's read lock
+// held — so every read between two boundaries is the same. It still answers only
+// state a crash cannot undo: it first waits until the stream's newest
+// journaled record is durable, such as a boundary a concurrent /advance
+// has journaled but not yet synced.
+//
+//tbs:walbeforeack
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.existingStream(w, r)
 	if !ok {
@@ -252,31 +260,13 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// sample taken right after an acknowledged advance reflects it.
 	s.flushStream(e)
 	bufp := sampleBufPool.Get().(*[]Item)
-	var items []Item
-	if s.wal != nil && e.sampleMutating {
-		// R-TBS realization consumes RNG draws: journal the read and draw
-		// under one entry-lock hold, so replay consumes the identical
-		// draws at the identical point in the stream's process, and sync
-		// before responding — the response is what makes the draw
-		// observable.
-		var lsn uint64
-		var err error
-		items, lsn, err = e.journalSampleRead((*bufp)[:0])
-		if err == nil {
-			err = s.syncWAL(lsn)
-		}
-		if err != nil {
-			sampleBufPool.Put(bufp)
-			s.fail(nil, w, err)
-			return
-		}
-	} else {
-		items = e.sampler.AppendSample((*bufp)[:0])
-		// R-TBS realization consumes RNG draws, so the next checkpoint
-		// must persist the advanced RNG; pure-read schemes stay clean.
-		if e.sampleMutating {
-			e.markDirty()
-		}
+	items := e.sampler.AppendSample((*bufp)[:0])
+	// The LSN is read after realizing, so it covers every record the
+	// realization reflects.
+	if err := s.syncWAL(e.journaledLSN()); err != nil {
+		sampleBufPool.Put(bufp)
+		s.fail(nil, w, err)
+		return
 	}
 	if items == nil {
 		items = []Item{}

@@ -158,15 +158,14 @@ func (s *Server) hydrate(e *entry) (err error) {
 	tr.StageSince(obs.StageReadCkpt, readStart)
 	var tail func(uint64) ([]wal.Record, error)
 	if s.wal != nil {
-		e.mu.Lock()
-		stubLSN := e.walLSN
-		e.mu.Unlock()
+		stubLSN := e.journaledLSN()
 		tail = func(lsn uint64) ([]wal.Record, error) {
 			if stubLSN <= lsn {
 				// The file covers the stub's newest record, so the key has
-				// no tail. Eviction checkpoints a dirty entry, so this holds
-				// unless a checkpoint pass was still writing the file when
-				// the stream was evicted.
+				// no tail. Eviction writes a dirty entry's file and waits
+				// out a checkpoint pass's write, so every stub evicted
+				// while serving takes this path; the tail read is for
+				// stubs made another way.
 				return nil, nil
 			}
 			return s.wal.TailForKey(e.key, lsn)
@@ -193,7 +192,6 @@ func (s *Server) hydrate(e *entry) (err error) {
 		return errStreamDeleted
 	}
 	e.sampler = scratch.sampler
-	e.sampleMutating = scratch.sampleMutating
 	e.pending = scratch.pending
 	e.ingested = scratch.ingested
 	e.batches = scratch.batches
@@ -213,13 +211,14 @@ func (s *Server) hydrate(e *entry) (err error) {
 // hibernateEntry evicts one entry down to a stub, persisting its state
 // first if the checkpoint file is stale (or missing). Returns false with
 // no error when the entry is not evictable right now (pinned, frozen,
-// deleted, batches still queued). The whole eviction holds e.mu, so no
-// capture-then-evict gap exists for a mutation to slip into; the victim
-// is idle by selection, so the hold is uncontended.
+// deleted, batches still queued, a checkpoint pass's write in flight).
+// The whole eviction holds e.mu, so no capture-then-evict gap exists for
+// a mutation to slip into; the victim is idle by selection, so the hold
+// is uncontended.
 func (s *Server) hibernateEntry(e *entry) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.hibernated.Load() || e.deleted || e.migrating || len(e.queued) > 0 {
+	if e.hibernated.Load() || e.deleted || e.migrating || e.writing || len(e.queued) > 0 {
 		return false, nil
 	}
 	// Fence against the lock-free handler fast path: publish
@@ -234,19 +233,16 @@ func (s *Server) hibernateEntry(e *entry) (bool, error) {
 	}
 	if e.dirty || !e.persisted {
 		st, err := e.stateLocked()
-		if err != nil {
-			e.hibernated.Store(false)
-			return false, err
+		if err == nil {
+			err = writeCheckpointFile(s.opts.CheckpointDir, st)
 		}
-		if err := writeCheckpointFile(s.opts.CheckpointDir, st); err != nil {
+		if err != nil {
 			e.hibernated.Store(false)
 			return false, err
 		}
 		e.dirty = false
 		e.persisted = true
-		if st.WalLSN > e.durableLSN {
-			e.durableLSN = st.WalLSN
-		}
+		e.durableLSN = max(e.durableLSN, st.WalLSN)
 	}
 	e.sampler = nil
 	e.pending = nil

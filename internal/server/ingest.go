@@ -339,7 +339,7 @@ func (s *Server) handleItems(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if serr != nil {
-		respond(tr, w, http.StatusInternalServerError, errorBody("wal_unavailable", serr.Error(), nil))
+		s.fail(tr, w, serr)
 		return
 	}
 	resp := map[string]any{

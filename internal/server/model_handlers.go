@@ -59,7 +59,12 @@ func (s *Server) handleModelAttach(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody("bad_model_spec", err.Error(), nil))
 		return
 	}
+	// Apply every boundary journaled before the attach record, and close
+	// none meanwhile, so the model steps only the boundaries after it.
+	e.advMu.Lock()
+	s.flushStream(e)
 	lsn, err := e.attachModel(mm)
+	e.advMu.Unlock()
 	if err == nil {
 		err = s.syncWAL(lsn)
 	}
@@ -109,7 +114,10 @@ func (s *Server) handleModelDetach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer e.unpin()
+	e.advMu.Lock() // apply boundaries in WAL order, as an attach does
+	s.flushStream(e)
 	had, lsn, err := e.detachModel()
+	e.advMu.Unlock()
 	if err == nil {
 		err = s.syncWAL(lsn)
 	}

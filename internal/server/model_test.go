@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,5 +380,54 @@ func TestPredictDuringRetrainRace(t *testing.T) {
 	}
 	if served.Load() == 0 {
 		t.Error("no predictions served during the retrain storm")
+	}
+}
+
+// TestModelAttachAfterQueuedBoundaries: a ?batch=N ingest is acknowledged
+// before the engine applies its boundaries. A model attached right after
+// must not step them: they were journaled before the attach, so a replay
+// applies them without the model.
+func TestModelAttachAfterQueuedBoundaries(t *testing.T) {
+	h := newHarness(t, walOpts(t.TempDir(), 3))
+	h.do("POST", "/v1/streams/k/items", labeledBatch(0, 5), http.StatusOK, nil)
+	depth := func() (n int) {
+		for _, d := range h.srv.eng.Stats().Depths {
+			n += d
+		}
+		return n
+	}
+	// Hold the stream's worker, so the three boundaries below stay queued.
+	release := make(chan struct{})
+	if err := h.srv.eng.Submit("k", func() { <-release }); err != nil {
+		t.Fatal(err)
+	}
+	h.do("POST", "/v1/streams/k/items?batch=5", labeledBatch(1, 15), http.StatusOK, nil)
+	queued := depth()
+	attached := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequest("PUT", h.ts.URL+"/v1/streams/k/model",
+			bytes.NewReader([]byte(`{"learner":"knn","policy":"always"}`)))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("attach answered %d", resp.StatusCode)
+				}
+			}
+		}
+		attached <- err
+	}()
+	// Release the worker once the attach has finished or has queued
+	// behind the boundaries.
+	for depth() == queued && len(attached) == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-attached; err != nil {
+		t.Fatal(err)
+	}
+	if st := h.modelStats("k"); st.Stats.Batches != 0 {
+		t.Fatalf("the model stepped %d boundaries acknowledged before its attach", st.Stats.Batches)
 	}
 }

@@ -59,9 +59,6 @@ func releaseBatchSlice(b []Item) {
 type entry struct {
 	key     string
 	sampler *tbs.Concurrent[Item]
-	// sampleMutating records whether Sample consumes RNG draws (R-TBS),
-	// in which case a read dirties the checkpoint state.
-	sampleMutating bool
 
 	// wal is the server's write-ahead log, nil when journaling is off or
 	// during boot replay (records being replayed must not be re-journaled).
@@ -87,10 +84,10 @@ type entry struct {
 	dirty    bool     // state changed since the last persisted checkpoint
 	deleted  bool     // stream removed; rejects journaling and checkpointing
 	// migrating freezes the stream for a handoff: every mutation (ingest,
-	// boundary, model attach/detach, RNG-consuming sample read) is
-	// rejected with errStreamMigrating between the capture of the
-	// migration envelope and the handoff's outcome, so the shipped state
-	// can never miss an acknowledged operation.
+	// boundary, model attach/detach) is rejected with errStreamMigrating
+	// between the capture of the migration envelope and the handoff's
+	// outcome, so the shipped state can never miss an acknowledged
+	// operation. Reads change nothing and are never rejected.
 	migrating bool
 
 	// walLSN is the LSN of the last record journaled for this stream;
@@ -99,6 +96,12 @@ type entry struct {
 	// and min(durableLSN) across streams is the WAL compaction point.
 	walLSN     uint64
 	durableLSN uint64
+
+	// writing marks a checkpoint pass's file write of this entry as in
+	// flight, from capture (checkpoint) to endWrite. The hibernator does
+	// not evict a marked entry: the pass writes outside mu, and its older
+	// state must never land over a file written at a later eviction.
+	writing bool
 
 	// persisted records that a checkpoint file currently exists on disk
 	// for this stream (set by every successful checkpoint write, and at
@@ -111,7 +114,7 @@ type entry struct {
 	// before ensureResident and unpins when done; the hibernator never
 	// evicts a pinned entry (see hibernateEntry for the fence that makes
 	// the lock-free pin/check ordering safe), so post-ensureResident code
-	// reads sampler/sampleMutating/model exactly as it always has.
+	// reads sampler/model exactly as it always has.
 	pins atomic.Int32
 
 	// lastTouch is the LRU clock: unix nanos of the last client-driven
@@ -154,9 +157,9 @@ var (
 	// client observes the deletion (a retry recreates the stream fresh).
 	errStreamDeleted = errors.New("stream deleted")
 	// errJournalFailed marks a request rejected because its WAL record
-	// could not be written — the server never acknowledges what it could
-	// not log; handlers map it to 500.
-	errJournalFailed = errors.New("write-ahead log append failed")
+	// could not be written or synced — the server never acknowledges what
+	// it could not log; handlers map it to 500.
+	errJournalFailed = errors.New("write-ahead log failed")
 	// errStreamMigrating marks an operation rejected because the stream is
 	// frozen for a handoff; handlers map it to 503 (retry — the stream
 	// either unfreezes here or starts answering 421 with its new home).
@@ -241,7 +244,7 @@ func (e *entry) appendMode(items []Item, maxPending int, adopt bool) (pending in
 // was accepted under whatever limit then applied) and no re-journaling.
 // The open batch draws its array from the batch pool, as appendMode's
 // does, and grows once per record.
-func (e *entry) replayAppend(items [][]byte, lsn uint64) {
+func (e *entry) replayAppend(items [][]byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.pending == nil {
@@ -252,27 +255,13 @@ func (e *entry) replayAppend(items [][]byte, lsn uint64) {
 		e.pending = append(e.pending, Item(it))
 	}
 	e.ingested += uint64(len(items))
-	e.walLSN = lsn
 	e.dirty = true
 }
 
-// setWalLSN records the LSN of a replayed record that was applied through
-// a path that does not thread LSNs (batch boundaries, sample reads).
+// setWalLSN records the LSN of a replayed record.
 func (e *entry) setWalLSN(lsn uint64) {
 	e.mu.Lock()
 	e.walLSN = lsn
-	e.mu.Unlock()
-}
-
-// setDurableLSN records that the stream's newest on-disk checkpoint
-// covers every record up to lsn. Called only after a successful
-// checkpoint write, so it doubles as the persisted marker.
-func (e *entry) setDurableLSN(lsn uint64) {
-	e.mu.Lock()
-	if lsn > e.durableLSN {
-		e.durableLSN = lsn
-	}
-	e.persisted = true
 	e.mu.Unlock()
 }
 
@@ -380,20 +369,19 @@ func (e *entry) counters() (pending int, ingested, batches uint64) {
 	return len(e.pending), e.ingested, e.batches
 }
 
-// markDirty flags the entry for the next checkpoint pass. Read endpoints
-// call it after Sample, because R-TBS's realization draws from the RNG —
-// state that must be persisted for a restart to resume the identical
-// stochastic process.
-func (e *entry) markDirty() {
+// journaledLSN returns the LSN of the newest record journaled for the
+// stream.
+func (e *entry) journaledLSN() uint64 {
 	e.mu.Lock()
-	e.dirty = true
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	return e.walLSN
 }
 
 // checkpoint captures a consistent (snapshot, open batch, counters) triple
-// and clears the dirty flag; wasDirty false means the previous checkpoint
-// is still current and the caller can skip the write. If the write fails,
-// the caller must markDirty again.
+// for a checkpoint pass, clears the dirty flag and marks the file write in
+// flight; wasDirty false means the previous checkpoint is still current
+// and the caller can skip the write. The caller must end a capture with
+// endWrite.
 func (e *entry) checkpoint() (st checkpointState, wasDirty bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -406,7 +394,24 @@ func (e *entry) checkpoint() (st checkpointState, wasDirty bool, err error) {
 		return checkpointState{}, true, err
 	}
 	e.dirty = false
+	e.writing = true
 	return st, true, nil
+}
+
+// endWrite ends a checkpoint pass's write of the state checkpoint
+// captured. It clears the in-flight mark, and either records that the
+// stream's newest file covers every record up to lsn or, when the write
+// failed, flags the entry for the next pass.
+func (e *entry) endWrite(lsn uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.writing = false
+	if err != nil {
+		e.dirty = true
+		return
+	}
+	e.durableLSN = max(e.durableLSN, lsn)
+	e.persisted = true
 }
 
 // captureState is the forced capture used by stream handoff: it ignores
@@ -520,28 +525,6 @@ func (e *entry) detachModel() (had bool, lsn uint64, err error) {
 		e.dirty = true
 	}
 	return had, lsn, nil
-}
-
-// journalSampleRead journals one RNG-consuming sample realization and
-// realizes it under the same lock hold, so the WAL sees the draw exactly
-// where the sampler's stochastic process consumed it. Only called for
-// schemes whose Sample mutates (R-TBS) with journaling on.
-func (e *entry) journalSampleRead(buf []Item) (items []Item, lsn uint64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.deleted {
-		return nil, 0, errStreamDeleted
-	}
-	if e.migrating {
-		return nil, 0, errStreamMigrating
-	}
-	if lsn, err = e.wal.AppendRecord(wal.TypeSampleRead, e.key, nil); err != nil {
-		return nil, 0, fmt.Errorf("%w: sample read: %v", errJournalFailed, err)
-	}
-	e.walLSN = lsn
-	items = e.sampler.AppendSample(buf)
-	e.dirty = true
-	return items, lsn, nil
 }
 
 // errTooManyStreams is returned by getOrCreate when the stream cap is
@@ -686,8 +669,7 @@ func (r *registry) getOrCreateAt(key string, capExempt bool) (*entry, error) {
 		r.total.Add(-1)
 		return nil, fmt.Errorf("%w: %v", errNewSampler, err)
 	}
-	cs := tbs.NewConcurrent(s)
-	e = &entry{key: key, sampler: cs, sampleMutating: tbs.SampleMutates[Item](cs), wal: r.wal}
+	e = &entry{key: key, sampler: tbs.NewConcurrent(s), wal: r.wal}
 	sh.entries[key] = e
 	r.resident.Add(1)
 	return e, nil

@@ -63,12 +63,13 @@ type Options struct {
 	CheckpointInterval time.Duration
 
 	// WALDir, when set, enables the write-ahead log: every acknowledged
-	// ingest chunk, batch boundary, model attach/detach and RNG-consuming
-	// sample read is journaled and fsynced (per WALFsync) before the
-	// acknowledgement, and boot replays the log tail on top of the newest
-	// snapshots — a kill -9 then loses at most the last un-fsynced group
-	// instead of up to a full CheckpointInterval of acknowledged traffic.
-	// Checkpoint passes double as WAL compaction.
+	// ingest chunk, batch boundary and model attach/detach is journaled
+	// and fsynced (per WALFsync) before the acknowledgement, and boot
+	// replays the log tail on top of the newest snapshots — a kill -9 then
+	// loses at most the last un-fsynced group instead of up to a full
+	// CheckpointInterval of acknowledged traffic. Sample reads journal
+	// nothing; replay skips the read records older logs hold. Checkpoint
+	// passes double as WAL compaction.
 	WALDir string
 
 	// WALFsync selects the durability policy: "group" (default — one

@@ -122,8 +122,8 @@ func (h *harness) sample(key string) sampleResp {
 // keyed ingest across 8 goroutines, explicit batch boundaries, a sample
 // fetch, then kill + restart from checkpoint — the resumed server must
 // produce byte-identical samples to an uninterrupted reference run with
-// the same seed and batch boundaries. Sample fetches consume RNG draws
-// for R-TBS, so both runs fetch at the same points.
+// the same seed and batch boundaries. Both runs fetch at the same
+// points, though a fetch changes no state.
 func TestEndToEndCheckpointRestart(t *testing.T) {
 	const goroutines = 8
 	keys := make([]string, goroutines)

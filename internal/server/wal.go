@@ -30,12 +30,16 @@ import (
 // syncWAL blocks until lsn is durable (no-op when journaling is off or
 // the operation journaled nothing). Handlers call it immediately before
 // writing a success response: the acknowledgement is the durability
-// boundary.
+// boundary. A failure wraps errJournalFailed, so every caller answers it
+// 500 wal_unavailable.
 func (s *Server) syncWAL(lsn uint64) error {
 	if s.wal == nil || lsn == 0 {
 		return nil
 	}
-	return s.wal.Sync(lsn)
+	if err := s.wal.Sync(lsn); err != nil {
+		return fmt.Errorf("%w: sync: %w", errJournalFailed, err)
+	}
+	return nil
 }
 
 // lastLSN is the LSN of the newest record in the log (0 without one).
@@ -100,20 +104,16 @@ func (s *Server) compactWAL() {
 func (s *Server) replayWAL() (int, error) {
 	replayed := 0
 	err := s.wal.Replay(func(r wal.Record) error {
-		if r.Type == wal.TypeRetrainSwap {
+		if r.Type == wal.TypeRetrainSwap || r.Type == wal.TypeSampleRead {
 			// Older logs hold these. Replaying a boundary recomputes its
-			// swap, and a swap record that landed after its stream's
-			// tombstone must not recreate the stream below.
+			// swap, a read changes no state, and a record that landed
+			// after its stream's tombstone must not recreate the stream
+			// below.
 			return nil
 		}
 		e := s.reg.lookup(r.Key)
-		if e != nil {
-			e.mu.Lock()
-			seen := r.LSN <= e.walLSN
-			e.mu.Unlock()
-			if seen {
-				return nil
-			}
+		if e != nil && r.LSN <= e.journaledLSN() {
+			return nil
 		}
 		if r.Type == wal.TypeStreamDelete {
 			// The checkpoint file normally died with the DELETE request; a
@@ -144,14 +144,15 @@ func (s *Server) replayWAL() (int, error) {
 // applyReplayRecord applies one non-delete WAL record to an entry. Shared
 // by boot-time replay and by stream adoption (the migration envelope's
 // WAL tail replays through the same code, against an entry whose wal is
-// still nil so nothing is re-journaled).
+// still nil so nothing is re-journaled). The record types older logs
+// hold and that change no state, retrain swaps and sample reads, only
+// move the entry's LSN.
 func (s *Server) applyReplayRecord(e *entry, r wal.Record) error {
 	switch r.Type {
 	case wal.TypeItemAppend:
-		e.replayAppend(r.Items, r.LSN)
+		e.replayAppend(r.Items)
 	case wal.TypeBatchBoundary:
 		e.advance()
-		e.setWalLSN(r.LSN)
 	case wal.TypeModelAttach:
 		var spec ModelSpec
 		if err := json.Unmarshal(r.Data, &spec); err != nil {
@@ -167,19 +168,12 @@ func (s *Server) applyReplayRecord(e *entry, r wal.Record) error {
 		if _, err := e.attachModel(mm); err != nil {
 			return err
 		}
-		e.setWalLSN(r.LSN)
 	case wal.TypeModelDetach:
 		if _, _, err := e.detachModel(); err != nil {
 			return err
 		}
-		e.setWalLSN(r.LSN)
-	case wal.TypeSampleRead:
-		// Consume the same realization draws the pre-crash /sample
-		// consumed, keeping the RNG trajectory identical.
-		e.sampler.AppendSample(nil)
-		e.setWalLSN(r.LSN)
-		e.markDirty()
 	}
+	e.setWalLSN(r.LSN)
 	return nil
 }
 

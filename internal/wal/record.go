@@ -33,9 +33,11 @@ const (
 	// TypeStreamDelete marks a stream deletion; replay drops the stream
 	// and every record journaled for it before this point.
 	TypeStreamDelete Type = 6
-	// TypeSampleRead marks one realized sample fetch on a scheme whose
-	// realization consumes RNG draws (R-TBS); replay re-draws so the
-	// stream's stochastic process stays identical.
+	// TypeSampleRead marked one realized sample fetch, when an R-TBS
+	// realization drew from the sampler's RNG. tbsd no longer writes it:
+	// a realization is a function of the state, so a read changes
+	// nothing. It stays decodable so older logs still open, and replay
+	// skips it.
 	TypeSampleRead Type = 7
 )
 

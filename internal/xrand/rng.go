@@ -35,16 +35,20 @@ func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = mix64(sm)
 	}
 	r.hasSpare = false
 	// Guard against the (astronomically unlikely) all-zero state.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
+}
+
+// mix64 is SplitMix64's finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -100,6 +104,17 @@ func (r *RNG) Split() *RNG {
 // Float64 returns a uniform variate in [0, 1) with 53 random bits.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// StateFloat64 returns a uniform variate in [0, 1) that is a pure function
+// of the generator's state: it does not advance the stream, so every call
+// between two draws returns the same value. It XOR-folds the four state
+// words with a domain constant and applies mix64, not xoshiro's output
+// function, so it is not the value the next Float64 returns. R-TBS flips
+// the partial-item coin of a realization with it (equation (2)).
+func (r *RNG) StateFloat64() float64 {
+	z := r.s[0] ^ r.s[1] ^ r.s[2] ^ r.s[3] ^ 0x5bd1e9955bd1e995
+	return float64(mix64(z)>>11) / (1 << 53)
 }
 
 // Float64Open returns a uniform variate in the open interval (0, 1),

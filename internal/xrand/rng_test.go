@@ -68,6 +68,50 @@ func TestFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestStateFloat64 pins the state-derived uniform that R-TBS's partial
+// item coin uses: repeat calls agree and advance nothing, the value is
+// uniform over successive states, and it is uncorrelated with the draw
+// that produced the state and with the draw that follows it.
+func TestStateFloat64(t *testing.T) {
+	r, twin := New(3), New(3)
+	if u := r.StateFloat64(); u != r.StateFloat64() {
+		t.Fatal("two calls on one state differ")
+	}
+	for i := 0; i < 100; i++ {
+		if r.Uint64() != twin.Uint64() {
+			t.Fatal("StateFloat64 advanced the stream")
+		}
+	}
+	const n = 1 << 18
+	var sum, sum2, prevDot, nextDot float64
+	prev := r.Float64()
+	for i := 0; i < n; i++ {
+		u := r.StateFloat64()
+		if u < 0 || u >= 1 {
+			t.Fatalf("StateFloat64 out of range: %v", u)
+		}
+		next := r.Float64()
+		sum += u
+		sum2 += u * u
+		prevDot += (u - 0.5) * (prev - 0.5)
+		nextDot += (u - 0.5) * (next - 0.5)
+		prev = next
+	}
+	mean := sum / n
+	if math.Abs(mean-0.5) > 0.003 {
+		t.Errorf("mean = %v, want ~0.5", mean)
+	}
+	if variance := sum2/n - mean*mean; math.Abs(variance-1.0/12) > 0.003 {
+		t.Errorf("variance = %v, want ~%v", variance, 1.0/12)
+	}
+	// A correlation's standard error is 1/√n ≈ 0.002; allow 5σ.
+	for name, dot := range map[string]float64{"previous": prevDot, "next": nextDot} {
+		if corr := dot / n * 12; math.Abs(corr) > 0.01 {
+			t.Errorf("correlation with the %s Float64 = %v, want ~0", name, corr)
+		}
+	}
+}
+
 func TestUint64nBounds(t *testing.T) {
 	r := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 100, 1 << 40} {

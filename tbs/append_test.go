@@ -10,7 +10,7 @@ import (
 
 // TestAppendSampleMatchesSample: for every scheme, AppendSample on one
 // sampler realizes exactly what Sample realizes on a twin driven
-// identically — the append path consumes the same RNG draws.
+// identically — the append path realizes the same sample.
 func TestAppendSampleMatchesSample(t *testing.T) {
 	for _, info := range tbs.Schemes() {
 		t.Run(info.Name, func(t *testing.T) {
@@ -79,7 +79,7 @@ func TestAppendSampleForeignFallback(t *testing.T) {
 
 // TestConcurrentAppendSample: the shared-read append path under Concurrent
 // returns correct realizations from many goroutines with caller-owned
-// buffers, for both a pure-read scheme (brs) and the mutating one (rtbs).
+// buffers, for both an integral scheme (brs) and a fractional one (rtbs).
 func TestConcurrentAppendSample(t *testing.T) {
 	for _, scheme := range []string{"brs", "rtbs"} {
 		t.Run(scheme, func(t *testing.T) {

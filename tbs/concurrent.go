@@ -2,39 +2,18 @@ package tbs
 
 import "sync"
 
-// samplingMutator is implemented by samplers whose Sample method mutates
-// internal state (R-TBS draws from its RNG to realize the partial item).
-// Concurrent consults it to decide whether Sample may share the read lock.
-type samplingMutator interface {
-	sampleMutates() bool
-}
-
 // Concurrent makes a Sampler safe for concurrent use behind one RWMutex,
 // so a sampler can sit behind request handlers: writers call Advance as
 // batches arrive while readers call Sample and ExpectedSize, and a
 // checkpointing goroutine calls Snapshot — all without external locking.
-// Read-only paths (Sample, ExpectedSize, Scheme, and the Weight, Now and
-// InclusionProbability helpers) take the read lock and run concurrently
-// with each other; Advance, AdvanceAt and Snapshot are exclusive. The one
-// exception is R-TBS's Sample, which draws from the sampler's RNG to
-// realize the partial item and therefore takes the write lock.
+// Read paths (Sample, AppendSample, ExpectedSize, Scheme, and the Weight,
+// Now and InclusionProbability helpers) take the read lock and run
+// concurrently with each other; Advance, AdvanceAt and Snapshot are
+// exclusive. Sharing the read lock relies on Sampler.Sample changing no
+// state, which every implementation must honour.
 type Concurrent[T any] struct {
 	mu sync.RWMutex
 	s  Sampler[T]
-	// mutSample records whether s.Sample mutates state. Unknown
-	// implementations are assumed to mutate — correctness over speed.
-	mutSample bool
-}
-
-// SampleMutates reports whether s's Sample method mutates sampler state
-// (true for R-TBS, whose realization draws from the RNG; conservatively
-// true for unknown implementations). Checkpointing callers use it to know
-// whether a read requires re-persisting the sampler.
-func SampleMutates[T any](s Sampler[T]) bool {
-	if m, ok := s.(samplingMutator); ok {
-		return m.sampleMutates()
-	}
-	return true
 }
 
 // NewConcurrent wraps s in a Concurrent. Wrapping an existing Concurrent
@@ -43,11 +22,7 @@ func NewConcurrent[T any](s Sampler[T]) *Concurrent[T] {
 	if c, ok := s.(*Concurrent[T]); ok {
 		return c
 	}
-	mutSample := true
-	if m, ok := s.(samplingMutator); ok {
-		mutSample = m.sampleMutates()
-	}
-	return &Concurrent[T]{s: s, mutSample: mutSample}
+	return &Concurrent[T]{s: s}
 }
 
 // Advance implements Sampler.
@@ -57,32 +32,21 @@ func (c *Concurrent[T]) Advance(batch []T) {
 	c.s.Advance(batch)
 }
 
-// Sample implements Sampler. For schemes whose realization is a pure read
-// it holds only the read lock, so concurrent readers do not serialize.
+// Sample implements Sampler. It holds only the read lock, so concurrent
+// readers do not serialize.
 func (c *Concurrent[T]) Sample() []T {
-	if c.mutSample {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	} else {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.s.Sample()
 }
 
 // AppendSample realizes the current sample into a caller-owned buffer (see
-// tbs.AppendSample) under the appropriate lock: schemes whose realization
-// is a pure read hold only the read lock, so concurrent readers each fill
+// tbs.AppendSample) under the read lock, so concurrent readers each fill
 // their own buffer without serializing — and, unlike Sample, without a
 // fresh allocation per call once the buffer has grown to the sample size.
 func (c *Concurrent[T]) AppendSample(dst []T) []T {
-	if c.mutSample {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	} else {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if e, ok := c.s.(extended[T]); ok {
 		if out, ok2 := e.appendSampleCap(dst); ok2 {
 			return out
@@ -108,8 +72,6 @@ func (c *Concurrent[T]) Scheme() string {
 	defer c.mu.RUnlock()
 	return c.s.Scheme()
 }
-
-func (c *Concurrent[T]) sampleMutates() bool { return c.mutSample }
 
 // Snapshot implements Sampler. The snapshot is atomic with respect to
 // concurrent Advance and Sample calls.

@@ -182,8 +182,8 @@ func TestDeriveSeed(t *testing.T) {
 
 // TestConcurrentParallelReaders is the RWMutex regression test: many
 // readers hammer every read-locked path while writers advance, under
-// -race. A pure-Sample scheme (ttbs) exercises the shared read path; rtbs
-// exercises the mutating-Sample fallback to the write lock.
+// -race. ttbs and rtbs (whose realization flips a coin from the RNG
+// state) both realize under the shared read lock.
 func TestConcurrentParallelReaders(t *testing.T) {
 	for _, scheme := range []string{"ttbs", "rtbs"} {
 		t.Run(scheme, func(t *testing.T) {

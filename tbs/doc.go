@@ -26,10 +26,9 @@
 // The item type T must be JSON-serializable.
 //
 // Samplers are single-goroutine objects; wrap one in tbs.NewConcurrent to
-// share it between request handlers (read-only calls share an RWMutex
-// read lock, so readers never serialize against each other — except
-// R-TBS's Sample, which draws from the RNG to realize the partial item
-// and therefore takes the write lock). Scheme-specific
+// share it between request handlers (read-only calls, Sample included,
+// share an RWMutex read lock, so readers never serialize against each
+// other). Scheme-specific
 // capabilities beyond the core interface are reached through the capability
 // helpers tbs.Weight, tbs.AdvanceAt and tbs.Now, which report whether the
 // scheme supports them.
@@ -47,7 +46,7 @@
 // allocation-free) and retrain from it. internal/manage packages the loop
 // for embedding; the tbsd daemon (internal/server) serves it over HTTP
 // with per-stream models, asynchronous retraining and checkpointed model
-// state. Note that for R-TBS, realizing a sample consumes RNG draws, so a
-// deterministic replay must realize at the same points — Snapshot/Restore
-// preserve this automatically by checkpointing the RNG.
+// state. Realizing a sample changes no state: every read between two
+// batches returns the same sample, the one a retrain at that boundary
+// trains on, so a deterministic replay need not repeat the reads.
 package tbs

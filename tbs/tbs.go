@@ -16,7 +16,10 @@ type Sampler[T any] interface {
 	// The batch may be empty and is not retained.
 	Advance(batch []T)
 
-	// Sample returns a freshly realized copy of the current sample.
+	// Sample returns a freshly realized copy of the current sample. It
+	// changes no state: every call between two Advance calls returns the
+	// same sample. Concurrent shares its read lock on that guarantee, for
+	// every implementation.
 	Sample() []T
 
 	// ExpectedSize returns E[|Sₜ|]: the sample weight for fractional
@@ -46,13 +49,12 @@ type extended[T any] interface {
 
 // wrapper adapts one concrete internal sampler to the Sampler interface.
 type wrapper[T any] struct {
-	inner     core.Sampler[T]
-	scheme    string
-	snap      func() (Snapshot, error)
-	weight    func() (total, lambda float64) // nil when the scheme tracks no weights
-	timed     core.TimedSampler[T]           // nil when real-valued times are unsupported
-	incl      func(arrival float64) float64  // nil unless the scheme has exact inclusion probabilities
-	mutSample bool                           // true when Sample draws from the RNG (R-TBS)
+	inner  core.Sampler[T]
+	scheme string
+	snap   func() (Snapshot, error)
+	weight func() (total, lambda float64) // nil when the scheme tracks no weights
+	timed  core.TimedSampler[T]           // nil when real-valued times are unsupported
+	incl   func(arrival float64) float64  // nil unless the scheme has exact inclusion probabilities
 }
 
 func (w *wrapper[T]) Advance(batch []T)           { w.inner.Advance(batch) }
@@ -60,7 +62,6 @@ func (w *wrapper[T]) Sample() []T                 { return w.inner.Sample() }
 func (w *wrapper[T]) ExpectedSize() float64       { return w.inner.ExpectedSize() }
 func (w *wrapper[T]) Scheme() string              { return w.scheme }
 func (w *wrapper[T]) Snapshot() (Snapshot, error) { return w.snap() }
-func (w *wrapper[T]) sampleMutates() bool         { return w.mutSample }
 
 func (w *wrapper[T]) weightCap() (float64, float64, bool) {
 	if w.weight == nil {
@@ -145,8 +146,8 @@ func InclusionProbability[T any](s Sampler[T], arrival float64) (p float64, ok b
 // dst's backing array when it has capacity. A caller that feeds the result
 // back in (buf = tbs.AppendSample(s, buf[:0])) samples without allocating
 // in steady state — the read side of the zero-allocation ingest path. It
-// consumes exactly the RNG draws Sample would, so the two are
-// interchangeable in deterministic replay. Samplers from New always
+// realizes exactly what Sample returns, and like Sample it changes no
+// state. Samplers from New always
 // support the append path; for foreign Sampler implementations that do
 // not, it falls back to appending a Sample() copy.
 func AppendSample[T any](s Sampler[T], dst []T) []T {
@@ -257,13 +258,12 @@ func build[T any](name string, cfg config) (Sampler[T], error) {
 
 func wrapRTBS[T any](u *core.RTBS[T]) Sampler[T] {
 	return &wrapper[T]{
-		inner:     u,
-		scheme:    "rtbs",
-		snap:      func() (Snapshot, error) { return encodeState("rtbs", u.Snapshot()) },
-		weight:    func() (float64, float64) { return u.TotalWeight(), u.DecayRate() },
-		timed:     u,
-		incl:      u.InclusionProbability,
-		mutSample: true,
+		inner:  u,
+		scheme: "rtbs",
+		snap:   func() (Snapshot, error) { return encodeState("rtbs", u.Snapshot()) },
+		weight: func() (float64, float64) { return u.TotalWeight(), u.DecayRate() },
+		timed:  u,
+		incl:   u.InclusionProbability,
 	}
 }
 
