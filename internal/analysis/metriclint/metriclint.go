@@ -15,7 +15,10 @@
 //     EscapeLabel result, and the same applies to label strings built by
 //     concatenation; %q is accepted as self-quoting (Go's escapes cover
 //     every exposition-breaking character), but an unquoted %s is always
-//     malformed.
+//     malformed;
+//   - no exposition line carries a stat label: {stat="p99"}-style
+//     per-process quantile gauges do not aggregate across nodes, so
+//     latencies render as histograms through (*obs.Histogram).AppendProm.
 //
 // Three literal shapes are recognized: full exposition lines
 // ("tbsd_x_total %d", `tbsd_up{node="%s"} %d`), bare metric names
@@ -39,14 +42,14 @@ import (
 // Analyzer is the metriclint analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "metriclint",
-	Doc:  "Prometheus metric names must be tbsd_/tbsrouter_ snake_case with base units; dynamic labels must use obs.EscapeLabel",
+	Doc:  "Prometheus metric names must be tbsd_/tbsrouter_ snake_case with base units; dynamic labels must use obs.EscapeLabel; latencies are histograms, not stat-labelled quantile gauges",
 	Run:  run,
 }
 
 var (
 	// lineRE matches an exposition-line format literal: NAME{LABELS} VERB
 	// where NAME may itself be a verb (dynamic-name helpers like
-	// "%s{stat=%q} %g" — label checks still apply).
+	// "%s{node=%q} %d" — label checks still apply).
 	lineRE = regexp.MustCompile(`^(%[a-zA-Z]|[A-Za-z_][A-Za-z0-9_]*)(\{([^}]*)\})? %`)
 	// bareNameRE matches a metric name on its own.
 	bareNameRE = regexp.MustCompile(`^(tbsd|tbsrouter)_[A-Za-z0-9_]+$`)
@@ -140,6 +143,7 @@ func (c *checker) checkLiteral(lit *ast.BasicLit, stack []ast.Node) {
 			}
 		}
 		if labels != "" {
+			c.checkStatLabel(lit, labels)
 			c.checkLabelVerbs(lit, s, labels, stack)
 		}
 		return
@@ -199,6 +203,17 @@ func (c *checker) checkDuplicate(lit *ast.BasicLit, name string, stack []ast.Nod
 		c.reportf(lit.Pos(), "metric %q emitted more than once in this function — duplicate series registration", name)
 	}
 	m[name] = true
+}
+
+// checkStatLabel rejects a stat key in a label block, the shape of a
+// per-process quantile gauge.
+func (c *checker) checkStatLabel(lit *ast.BasicLit, labels string) {
+	for _, m := range labelValRE.FindAllStringSubmatch(labels, -1) {
+		if m[1] == "stat" {
+			c.reportf(lit.Pos(), "label \"stat\": per-process quantile gauges do not aggregate across nodes; render latencies with (*obs.Histogram).AppendProm")
+			return
+		}
+	}
 }
 
 // checkLabelVerbs validates the arguments feeding %-verbs in label

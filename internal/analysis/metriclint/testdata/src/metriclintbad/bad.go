@@ -1,5 +1,6 @@
 // Package metriclintbad seeds exposition-format violations: bad names,
-// bad units, duplicate series, and unescaped dynamic labels.
+// bad units, duplicate series, unescaped dynamic labels, and quantile
+// gauges.
 package metriclintbad
 
 import "fmt"
@@ -39,6 +40,14 @@ func unquotedVerb(b []byte, node string, up int) []byte {
 
 func unescapedConcat(node string) string {
 	return `tbsd_node_up{node="` + node + `"} 1` // want `label "node" must flow through obs.EscapeLabel`
+}
+
+// The retired latency helper shape: a dynamic metric name with a
+// per-process quantile label.
+func latShape(b []byte, name string, mean float64) []byte {
+	b = line(b, "%s{stat=%q} %g", name, "mean", mean)      // want `per-process quantile gauges do not aggregate across nodes`
+	b = line(b, `tbsd_fsync_seconds{stat="p99"} %g`, mean) // want `per-process quantile gauges do not aggregate across nodes`
+	return b
 }
 
 type histo struct{}

@@ -28,12 +28,6 @@ func goodNames(b []byte, n int, v float64) []byte {
 	return b
 }
 
-// The lat helper shape: a dynamic metric name with constant %q labels.
-func latShape(b []byte, name string, mean float64) []byte {
-	b = line(b, "%s{stat=%q} %g", name, "mean", mean)
-	return b
-}
-
 // Dynamic labels through EscapeLabel, directly or via a single
 // assignment (the cluster node-metrics shape).
 func escapedLabels(b []byte, nodeName string, up int) []byte {

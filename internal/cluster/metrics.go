@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -18,20 +17,19 @@ type nodeCounters struct {
 }
 
 // RouterMetrics aggregates the router's observability counters. All
-// counters are atomics so the forward hot path never takes a lock; only
-// the latency ring has a (private) mutex.
+// counters are atomics and the latency a lock-free obs.Histogram, so the
+// forward hot path takes no lock beyond the per-node map's.
 type RouterMetrics struct {
 	requests      atomic.Uint64 // client requests accepted
-	forwarded     atomic.Uint64 // successfully proxied to a node
 	forwardErrors atomic.Uint64 // transport failures talking to a node
 	unavailable   atomic.Uint64 // rejected up front: owner marked down
 	fanouts       atomic.Uint64 // cluster-wide fan-out requests (list)
 	handoffs      atomic.Uint64 // migrations driven to completion
 	handoffErrors atomic.Uint64
 	responseBytes atomic.Uint64
-	// forwardLat quantiles cover a rotating time window, not all history —
-	// after a latency burst subsides the p99 drains back down.
-	forwardLat metrics.LatencyStats
+	// forwardLat times every request successfully proxied to a node; its
+	// count is tbsrouter_forwarded_total.
+	forwardLat obs.Histogram
 
 	mu     sync.Mutex
 	byNode map[string]*nodeCounters
@@ -64,7 +62,6 @@ func (m *RouterMetrics) ObserveRequest() { m.requests.Add(1) }
 
 // ObserveForward records one completed proxy round trip.
 func (m *RouterMetrics) ObserveForward(node string, respBytes int64, d time.Duration) {
-	m.forwarded.Add(1)
 	m.responseBytes.Add(uint64(respBytes))
 	m.forwardLat.Observe(d)
 	m.node(node).forwarded.Add(1)
@@ -102,7 +99,7 @@ func (m *RouterMetrics) WriteTo(w io.Writer, status []NodeStatus) error {
 	}
 
 	line("tbsrouter_requests_total %d", m.requests.Load())
-	line("tbsrouter_forwarded_total %d", m.forwarded.Load())
+	line("tbsrouter_forwarded_total %d", m.forwardLat.Count())
 	line("tbsrouter_forward_errors_total %d", m.forwardErrors.Load())
 	line("tbsrouter_unavailable_total %d", m.unavailable.Load())
 	line("tbsrouter_fanouts_total %d", m.fanouts.Load())
@@ -110,13 +107,7 @@ func (m *RouterMetrics) WriteTo(w io.Writer, status []NodeStatus) error {
 	line("tbsrouter_handoff_errors_total %d", m.handoffErrors.Load())
 	line("tbsrouter_response_bytes_total %d", m.responseBytes.Load())
 
-	wf, win := m.forwardLat.Snapshot()
-	line("tbsrouter_forward_latency_seconds_count %d", wf.N())
-	line("tbsrouter_forward_latency_seconds{stat=%q} %g", "mean", wf.Mean())
-	line("tbsrouter_forward_latency_seconds{stat=%q} %g", "std", wf.Std())
-	line("tbsrouter_forward_latency_seconds{stat=%q} %g", "p50", metrics.QuantileOrZero(win, 0.50))
-	line("tbsrouter_forward_latency_seconds{stat=%q} %g", "p95", metrics.QuantileOrZero(win, 0.95))
-	line("tbsrouter_forward_latency_seconds{stat=%q} %g", "p99", metrics.QuantileOrZero(win, 0.99))
+	b = m.forwardLat.AppendProm(b, "tbsrouter_forward_latency_seconds", "")
 
 	line("tbsrouter_nodes %d", len(status))
 	for _, st := range status {

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -411,11 +413,14 @@ func TestRouterHandoffUpdatesRouting(t *testing.T) {
 	}
 }
 
-// TestRouterMetrics: the endpoint renders router counters and per-node
-// health gauges.
+// TestRouterMetrics: the endpoint renders router counters, per-node
+// health gauges, and the forward latency as a Prometheus histogram whose
+// count is tbsrouter_forwarded_total; no series carries a per-process
+// quantile label.
 func TestRouterMetrics(t *testing.T) {
 	c := newTestCluster(t)
 	c.get(t, "/v1/streams/some-key/stats", http.StatusOK)
+	c.get(t, "/v1/streams/other-key/stats", http.StatusOK)
 	resp, err := http.Get(c.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -425,12 +430,37 @@ func TestRouterMetrics(t *testing.T) {
 	text := string(data)
 	for _, want := range []string{
 		"tbsrouter_requests_total",
-		"tbsrouter_forwarded_total",
+		"tbsrouter_forwarded_total 2",
 		`tbsrouter_node_up{node="a"}`,
-		"tbsrouter_forward_latency_seconds",
+		`tbsrouter_forward_latency_seconds_bucket{le="+Inf"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+	var buckets []uint64
+	var lastBucket, count string
+	for _, line := range strings.Split(text, "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		switch {
+		case strings.HasPrefix(name, "tbsrouter_forward_latency_seconds_bucket{"):
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil || (len(buckets) > 0 && n < buckets[len(buckets)-1]) {
+				t.Errorf("bucket line %q is not a cumulative count", line)
+			}
+			buckets = append(buckets, n)
+			lastBucket = name
+		case name == "tbsrouter_forward_latency_seconds_count":
+			count = val
+		}
+	}
+	if len(buckets) != obs.HistFiniteBuckets+1 || lastBucket != `tbsrouter_forward_latency_seconds_bucket{le="+Inf"}` {
+		t.Errorf("%d bucket lines ending in %q, want %d ending in le=\"+Inf\"", len(buckets), lastBucket, obs.HistFiniteBuckets+1)
+	}
+	if count != "2" {
+		t.Errorf("tbsrouter_forward_latency_seconds_count = %q, want 2", count)
+	}
+	if strings.Contains(text, `stat="`) {
+		t.Errorf("metrics output carries a stat label:\n%s", text)
 	}
 }

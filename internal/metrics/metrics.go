@@ -1,7 +1,7 @@
 // Package metrics provides the statistical measures used throughout the
 // paper's evaluation (Section 6): misclassification rate, mean squared
-// error, and the expected-shortfall (ES) robustness measure, plus running
-// moment accumulators and quantiles used by the experiment harness.
+// error, and the expected-shortfall (ES) robustness measure, plus the
+// mean the experiment harness averages runs with.
 package metrics
 
 import (
@@ -9,39 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Welford accumulates a running mean and variance in one pass with
-// numerically stable updates.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds a value into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of values seen.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance (0 for fewer than two values).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -53,36 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Var()
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It copies and sorts the input.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("metrics: quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("metrics: quantile level %v out of [0,1]", q)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	f := pos - float64(lo)
-	return s[lo]*(1-f) + s[hi]*f, nil
 }
 
 // ExpectedShortfall returns the z·100% ES of xs: the average of the worst

@@ -10,68 +10,6 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Error("empty accumulator not zero")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Errorf("N = %d", w.N())
-	}
-	if !almost(w.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %v", w.Mean())
-	}
-	// Unbiased variance of that classic dataset is 32/7.
-	if !almost(w.Var(), 32.0/7, 1e-12) {
-		t.Errorf("var = %v", w.Var())
-	}
-	if !almost(w.Std(), math.Sqrt(32.0/7), 1e-12) {
-		t.Errorf("std = %v", w.Std())
-	}
-}
-
-func TestWelfordMatchesTwoPass(t *testing.T) {
-	rng := xrand.New(1)
-	f := func(n uint8) bool {
-		k := int(n)%50 + 2
-		xs := make([]float64, k)
-		var w Welford
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 10
-			w.Add(xs[i])
-		}
-		return almost(w.Mean(), Mean(xs), 1e-9) && almost(w.Var(), Variance(xs), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.125, 1.5},
-	}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almost(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("q > 1 accepted")
-	}
-}
-
 func TestExpectedShortfall(t *testing.T) {
 	xs := []float64{10, 50, 20, 40, 30, 60, 5, 15, 25, 35}
 	// Worst 20% of 10 values = top 2 = {60, 50} → mean 55.
@@ -165,8 +103,5 @@ func TestMisclassificationRate(t *testing.T) {
 func TestMeanVarianceEdge(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Error("Variance of singleton != 0")
 	}
 }

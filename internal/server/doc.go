@@ -35,6 +35,6 @@
 //     file per key, atomically; on boot the server restores the directory
 //     and every stream resumes its exact stochastic process.
 //   - metrics: ingest/advance/checkpoint counters and latency
-//     distributions (Welford mean + ring-buffer quantiles from
-//     internal/metrics), rendered in Prometheus text format.
+//     histograms (internal/obs, the buckets every trace stage uses),
+//     rendered in Prometheus text format.
 package server

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/wal"
 	"repro/tbs"
 )
 
@@ -351,11 +350,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		st := s.eng.Stats()
 		eng = &st
 	}
-	var walSt *wal.Stats
-	if s.wal != nil {
-		st := s.wal.Stats()
-		walSt = &st
-	}
-	_ = s.metrics.WriteTo(w, s.reg.count(), int(s.reg.resident.Load()), s.reg.perShardCounts(), eng, walSt)
+	_ = s.metrics.WriteTo(w, s.reg.count(), int(s.reg.resident.Load()), s.reg.perShardCounts(), eng, s.wal)
 	_ = s.opts.Trace.WriteMetrics(w, "tbsd")
 }

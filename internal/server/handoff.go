@@ -326,8 +326,8 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 var errAdoptPersist = errors.New("persisting the adopted stream failed")
 
 // installAdopted installs a rebuilt adopted entry: it rebases the LSNs,
-// inserts the entry frozen, persists it and only then attaches the
-// local WAL. On failure nothing stays installed.
+// captures the state, inserts the entry frozen, persists it and only
+// then attaches the local WAL. On failure nothing stays installed.
 func (s *Server) installAdopted(e *entry, tr *obs.Trace) error {
 	// Rebase the LSN bookkeeping into this node's WAL space: everything
 	// adopted is captured in the entry state, not in the local log, so
@@ -342,15 +342,25 @@ func (s *Server) installAdopted(e *entry, tr *obs.Trace) error {
 	// an acknowledged write before that could be lost by a crash, with
 	// the source's copy already tombstoned.
 	e.migrating = true
+	persistStart := time.Now()
+	dir := s.opts.CheckpointDir
+	var st checkpointState
+	if dir != "" {
+		// Capture the way a checkpoint pass does, before the insert shows
+		// the entry to one: the capture clears the dirty flag and marks
+		// the write in flight, and endWrite records the file durable, so
+		// the next pass does not rewrite it.
+		var err error
+		if st, _, err = e.checkpoint(); err != nil {
+			return fmt.Errorf("%w: %v", errAdoptPersist, err)
+		}
+	}
 	if err := s.reg.insertRestored(e); err != nil {
 		return err
 	}
-	persistStart := time.Now()
-	if dir := s.opts.CheckpointDir; dir != "" {
-		st, err := e.captureState()
-		if err == nil {
-			err = writeCheckpointFile(dir, st)
-		}
+	if dir != "" {
+		err := writeCheckpointFile(dir, st)
+		e.endWrite(st.WalLSN, err)
 		if err != nil {
 			// Refuse the adoption: the source still owns the stream (it
 			// only tombstones on 200), so dropping the half-adopted entry

@@ -164,6 +164,32 @@ func TestHandoffSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestAdoptedStreamIsClean: the target persists an adopted stream the
+// way a checkpoint pass would, so its next pass has no file to write
+// until the stream changes again.
+func TestAdoptedStreamIsClean(t *testing.T) {
+	src := newHarness(t, handoffOpts(t.TempDir(), 3))
+	dst := newHarness(t, handoffOpts(t.TempDir(), 3))
+	const key = "adopt-clean"
+	src.driveStream(key, 1, 4)
+	src.handoff(key, dst.ts.URL, http.StatusOK)
+
+	before := dst.metricValue("tbsd_checkpointed_streams_total")
+	if err := dst.srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.metricValue("tbsd_checkpointed_streams_total") - before; got != 0 {
+		t.Fatalf("first pass after the adoption wrote %d files, want 0", got)
+	}
+	dst.do("POST", "/v1/streams/"+key+"/items", itemBatch(key, 5, 20), http.StatusOK, nil)
+	if err := dst.srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.metricValue("tbsd_checkpointed_streams_total") - before; got != 1 {
+		t.Fatalf("pass after one more ingest wrote %d files, want 1", got)
+	}
+}
+
 // TestHandoffErrorPaths covers the structured failures: unknown stream,
 // bad target, unreachable target, and a target that already owns the
 // key — and that every failure leaves the source stream unfrozen and

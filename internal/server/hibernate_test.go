@@ -254,7 +254,7 @@ func TestDeleteHibernatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.do("DELETE", "/v1/streams/doomed", nil, http.StatusOK, nil)
-	if got := h.srv.metrics.hydrations.Load(); got != 0 {
+	if got := h.srv.metrics.hydrationLat.Count(); got != 0 {
 		t.Fatalf("DELETE of a hibernated stream hydrated it (%d hydrations)", got)
 	}
 	h.do("GET", "/v1/streams/doomed/stats", nil, http.StatusNotFound, nil)
@@ -310,7 +310,7 @@ func TestColdHitStorm(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("cold hit failed: %v", err)
 	}
-	if got := h.srv.metrics.hydrations.Load(); got != 1 {
+	if got := h.srv.metrics.hydrationLat.Count(); got != 1 {
 		t.Fatalf("hydrations = %d, want 1 (single-flight)", got)
 	}
 	var st struct {

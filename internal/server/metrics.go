@@ -7,29 +7,26 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
 // Metrics aggregates the server's observability counters. Counts are
-// atomics so the ingest/advance hot paths never share a lock — the
-// lock-striped registry's parallelism is not re-serialized here; only the
-// latency rings take a (per-distribution) mutex.
+// atomics and latencies lock-free obs.Histograms, so the ingest/advance
+// hot paths never share a lock — the lock-striped registry's parallelism
+// is not re-serialized here. A histogram's count is also its event's
+// counter: tbsd_advances_total is advanceLat.Count(), and likewise for
+// checkpoints and hydrations.
 type Metrics struct {
 	ingestRequests atomic.Uint64
 	ingestedItems  atomic.Uint64
 
-	advances      atomic.Uint64
 	advancedItems atomic.Uint64
-	// advanceLat/checkpointLat quantiles cover a rotating time window
-	// (metrics.LatencyStats), not all history — after a burst subsides the
-	// p99 drains back down instead of being pinned by it forever.
-	advanceLat metrics.LatencyStats
+	advanceLat    obs.Histogram
 
-	checkpoints        atomic.Uint64
 	checkpointErrors   atomic.Uint64
 	checkpointedKeys   atomic.Uint64
-	checkpointLat      metrics.LatencyStats
+	checkpointLat      obs.Histogram
 	lastCheckpointUnix atomic.Int64
 	restoredStreams    atomic.Int64
 
@@ -50,9 +47,8 @@ type Metrics struct {
 
 	hibernations      atomic.Uint64 // streams evicted to checkpoint-backed stubs
 	hibernationErrors atomic.Uint64
-	hydrations        atomic.Uint64 // cold-miss rehydrations back to resident
 	hydrationErrors   atomic.Uint64
-	hydrationLat      metrics.LatencyStats
+	hydrationLat      obs.Histogram // cold-miss rehydrations back to resident
 }
 
 // SetReady flips the /readyz gate: true once restore completed and the
@@ -111,14 +107,12 @@ func (m *Metrics) ObserveIngest(n int) {
 // ObserveAdvance records one closed batch of n items and the sampler
 // update latency.
 func (m *Metrics) ObserveAdvance(n int, d time.Duration) {
-	m.advances.Add(1)
 	m.advancedItems.Add(uint64(n))
 	m.advanceLat.Observe(d)
 }
 
 // ObserveCheckpoint records one full checkpoint pass over keys streams.
 func (m *Metrics) ObserveCheckpoint(keys int, d time.Duration, err error) {
-	m.checkpoints.Add(1)
 	m.checkpointedKeys.Add(uint64(keys))
 	m.checkpointLat.Observe(d)
 	m.lastCheckpointUnix.Store(time.Now().Unix())
@@ -146,34 +140,24 @@ func (m *Metrics) ObserveHydration(d time.Duration, err error) {
 		m.hydrationErrors.Add(1)
 		return
 	}
-	m.hydrations.Add(1)
 	m.hydrationLat.Observe(d)
 }
 
 // WriteTo renders the counters in Prometheus text format. Registry-shape
 // gauges (stream and shard counts) and the engine's queue snapshot are
 // passed in by the caller so Metrics stays a pure accumulator; eng may be
-// nil when the engine is disabled. Rendering snapshots state first and
-// performs the response write lock-free, so a slow scraper cannot stall
-// the ingest/advance hot paths.
-func (m *Metrics) WriteTo(w io.Writer, streams, resident int, perShard []int, eng *engine.Stats, walSt *wal.Stats) error {
-	_, err := w.Write(m.render(streams, resident, perShard, eng, walSt))
+// nil when the engine is disabled, and wl when the WAL is. Rendering
+// snapshots state first and performs the response write lock-free, so a
+// slow scraper cannot stall the ingest/advance hot paths.
+func (m *Metrics) WriteTo(w io.Writer, streams, resident int, perShard []int, eng *engine.Stats, wl *wal.Log) error {
+	_, err := w.Write(m.render(streams, resident, perShard, eng, wl))
 	return err
 }
 
-func (m *Metrics) render(streams, resident int, perShard []int, eng *engine.Stats, walSt *wal.Stats) []byte {
+func (m *Metrics) render(streams, resident int, perShard []int, eng *engine.Stats, wl *wal.Log) []byte {
 	var b []byte
 	line := func(format string, args ...any) {
 		b = fmt.Appendf(b, format+"\n", args...)
-	}
-	lat := func(name string, l *metrics.LatencyStats) {
-		w, win := l.Snapshot()
-		line("%s_count %d", name, w.N())
-		line("%s{stat=%q} %g", name, "mean", w.Mean())
-		line("%s{stat=%q} %g", name, "std", w.Std())
-		line("%s{stat=%q} %g", name, "p50", metrics.QuantileOrZero(win, 0.50))
-		line("%s{stat=%q} %g", name, "p95", metrics.QuantileOrZero(win, 0.95))
-		line("%s{stat=%q} %g", name, "p99", metrics.QuantileOrZero(win, 0.99))
 	}
 
 	line("tbsd_ready %d", boolGauge(m.ready.Load()))
@@ -181,9 +165,9 @@ func (m *Metrics) render(streams, resident int, perShard []int, eng *engine.Stat
 	line("tbsd_streams_resident %d", resident)
 	line("tbsd_hibernations_total %d", m.hibernations.Load())
 	line("tbsd_hibernation_errors_total %d", m.hibernationErrors.Load())
-	line("tbsd_hydrations_total %d", m.hydrations.Load())
+	line("tbsd_hydrations_total %d", m.hydrationLat.Count())
 	line("tbsd_hydration_errors_total %d", m.hydrationErrors.Load())
-	lat("tbsd_hydration_latency_seconds", &m.hydrationLat)
+	b = m.hydrationLat.AppendProm(b, "tbsd_hydration_latency_seconds", "")
 	line("tbsd_deleted_streams_total %d", m.deletedStreams.Load())
 	line("tbsd_handoffs_out_total %d", m.handoffsOut.Load())
 	line("tbsd_handoffs_in_total %d", m.handoffsIn.Load())
@@ -197,17 +181,17 @@ func (m *Metrics) render(streams, resident int, perShard []int, eng *engine.Stat
 	line("tbsd_restored_streams %d", m.restoredStreams.Load())
 	line("tbsd_ingest_requests_total %d", m.ingestRequests.Load())
 	line("tbsd_ingested_items_total %d", m.ingestedItems.Load())
-	line("tbsd_advances_total %d", m.advances.Load())
+	line("tbsd_advances_total %d", m.advanceLat.Count())
 	line("tbsd_advanced_items_total %d", m.advancedItems.Load())
-	lat("tbsd_advance_latency_seconds", &m.advanceLat)
+	b = m.advanceLat.AppendProm(b, "tbsd_advance_latency_seconds", "")
 	line("tbsd_model_scored_batches_total %d", m.modelScores.Load())
 	line("tbsd_model_retrains_total %d", m.retrains.Load())
 	line("tbsd_model_retrain_errors_total %d", m.retrainErrors.Load())
 	line("tbsd_model_predictions_total %d", m.predictions.Load())
-	line("tbsd_checkpoints_total %d", m.checkpoints.Load())
+	line("tbsd_checkpoints_total %d", m.checkpointLat.Count())
 	line("tbsd_checkpoint_errors_total %d", m.checkpointErrors.Load())
 	line("tbsd_checkpointed_streams_total %d", m.checkpointedKeys.Load())
-	lat("tbsd_checkpoint_duration_seconds", &m.checkpointLat)
+	b = m.checkpointLat.AppendProm(b, "tbsd_checkpoint_duration_seconds", "")
 	if last := m.lastCheckpointUnix.Load(); last != 0 {
 		line("tbsd_checkpoint_last_unix_seconds %d", last)
 	}
@@ -231,18 +215,14 @@ func (m *Metrics) render(streams, resident int, perShard []int, eng *engine.Stat
 			line("tbsd_engine_background_pending %d", eng.BackgroundPending())
 		}
 	}
-	line("tbsd_wal_enabled %d", boolGauge(walSt != nil))
-	if walSt != nil {
+	line("tbsd_wal_enabled %d", boolGauge(wl != nil))
+	if wl != nil {
+		walSt := wl.Stats()
 		line("tbsd_wal_appended_records_total %d", walSt.Records)
 		line("tbsd_wal_appended_bytes_total %d", walSt.Bytes)
 		line("tbsd_wal_append_errors_total %d", walSt.AppendErrors)
 		line("tbsd_wal_fsyncs_total %d", walSt.Fsyncs)
-		line("tbsd_wal_fsync_seconds_count %d", walSt.FsyncCount)
-		line("tbsd_wal_fsync_seconds{stat=%q} %g", "mean", walSt.FsyncMean)
-		line("tbsd_wal_fsync_seconds{stat=%q} %g", "std", walSt.FsyncStd)
-		line("tbsd_wal_fsync_seconds{stat=%q} %g", "p50", walSt.FsyncP50)
-		line("tbsd_wal_fsync_seconds{stat=%q} %g", "p95", walSt.FsyncP95)
-		line("tbsd_wal_fsync_seconds{stat=%q} %g", "p99", walSt.FsyncP99)
+		b = wl.FsyncLatency().AppendProm(b, "tbsd_wal_fsync_seconds", "")
 		line("tbsd_wal_segments %d", walSt.Segments)
 		line("tbsd_wal_truncated_segments_total %d", walSt.TruncatedSegments)
 		line("tbsd_wal_last_lsn %d", walSt.LastLSN)

@@ -8,11 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/tbs"
 )
 
@@ -384,34 +388,84 @@ func TestRestoreSchemeMismatch(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint checks the text exposition contains the headline
-// series after some traffic.
+// TestMetricsEndpoint checks the text exposition after traffic that
+// reaches every latency family: batch advances, a checkpoint pass, WAL
+// group fsyncs and a cold-hit hydration. Each latency is a Prometheus
+// histogram whose count is its _total counter, and no series carries a
+// per-process quantile label.
 func TestMetricsEndpoint(t *testing.T) {
-	h := newHarness(t, Options{Sampler: rtbsConfig(1), Shards: 2, CheckpointDir: t.TempDir()})
+	dir := t.TempDir()
+	h := newHarness(t, Options{
+		Sampler: rtbsConfig(1), Shards: 2, CheckpointDir: dir,
+		WALDir: filepath.Join(dir, "wal"), WALFsync: "group",
+		IdleAfter: time.Nanosecond, HibernateInterval: time.Hour,
+	})
 	h.driveStream("m1", 1, 3)
 	h.driveStream("m2", 1, 2)
 	if err := h.srv.checkpointAll(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(h.ts.URL + "/metrics")
-	if err != nil {
+	if _, err := h.srv.HibernatePass(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(data)
+	h.do("GET", "/v1/streams/m1/stats", nil, http.StatusOK, nil)
+	text := h.get("/metrics")
 	for _, want := range []string{
 		"tbsd_streams 2",
 		"tbsd_shards 2",
 		`tbsd_shard_streams{shard="0"}`,
 		"tbsd_ingested_items_total 100",
 		"tbsd_advances_total 5",
-		`tbsd_advance_latency_seconds{stat="p99"}`,
+		`tbsd_advance_latency_seconds_bucket{le="+Inf"} 5`,
 		"tbsd_checkpoints_total 1",
 		"tbsd_checkpointed_streams_total 2",
+		"tbsd_hydrations_total 1",
 	} {
-		if !bytes.Contains(data, []byte(want)) {
+		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
+	}
+	for family, total := range map[string]string{
+		"tbsd_advance_latency_seconds":     "tbsd_advances_total",
+		"tbsd_checkpoint_duration_seconds": "tbsd_checkpoints_total",
+		"tbsd_hydration_latency_seconds":   "tbsd_hydrations_total",
+		"tbsd_wal_fsync_seconds":           "tbsd_wal_fsyncs_total",
+	} {
+		checkLatencyFamily(t, text, family, total)
+	}
+	if strings.Contains(text, `stat="`) {
+		t.Errorf("metrics output carries a stat label:\n%s", text)
+	}
+}
+
+// checkLatencyFamily requires family to render as a histogram: one
+// cumulative _bucket line per obs bucket, ending at le="+Inf", whose
+// count equals _count and the total counter, and is nonzero.
+func checkLatencyFamily(t *testing.T, exposition, family, total string) {
+	t.Helper()
+	var buckets []uint64
+	var lastBucket, count, tot string
+	for _, line := range strings.Split(exposition, "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		switch {
+		case strings.HasPrefix(name, family+"_bucket{"):
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil || (len(buckets) > 0 && n < buckets[len(buckets)-1]) {
+				t.Errorf("%s: bucket line %q is not a cumulative count", family, line)
+			}
+			buckets = append(buckets, n)
+			lastBucket = name
+		case name == family+"_count":
+			count = val
+		case name == total:
+			tot = val
+		}
+	}
+	if len(buckets) != obs.HistFiniteBuckets+1 || lastBucket != family+`_bucket{le="+Inf"}` {
+		t.Fatalf("%s: %d bucket lines ending in %q, want %d ending in le=\"+Inf\"",
+			family, len(buckets), lastBucket, obs.HistFiniteBuckets+1)
+	}
+	if inf := strconv.FormatUint(buckets[len(buckets)-1], 10); inf != count || count != tot || count == "0" {
+		t.Errorf("%s: +Inf bucket %s, _count %q, %s %q: want equal and nonzero", family, inf, count, total, tot)
 	}
 }

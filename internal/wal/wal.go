@@ -49,7 +49,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // Fsync policies.
@@ -112,19 +112,12 @@ type segment struct {
 type Stats struct {
 	Records           uint64 // records appended this process
 	Bytes             uint64 // frame bytes appended this process
-	Fsyncs            uint64
+	Fsyncs            uint64 // FsyncLatency's count
 	AppendErrors      uint64
 	Segments          int
 	TruncatedSegments uint64 // segments removed by compaction
 	LastLSN           uint64
 	SyncedLSN         uint64
-
-	FsyncCount int
-	FsyncMean  float64
-	FsyncStd   float64
-	FsyncP50   float64
-	FsyncP95   float64
-	FsyncP99   float64
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent
@@ -150,14 +143,12 @@ type Log struct {
 	synced  uint64
 	syncing bool
 
-	// Counters (guarded by mu except the fsync ring, under syncMu).
+	// Counters, guarded by mu; fsyncLat is lock-free.
 	records      uint64
 	bytes        uint64
-	fsyncs       uint64
 	appendErrors uint64
 	truncated    uint64
-	fsyncW       metrics.Welford
-	fsyncWin     *metrics.RotatingWindow // recent fsync latencies (under syncMu)
+	fsyncLat     obs.Histogram
 }
 
 // Open scans dir, truncates any torn tail off the newest segment, and
@@ -176,7 +167,6 @@ func Open(opts Options) (*Log, error) {
 	}
 	l := &Log{opts: opts, segments: segs, nextLSN: firstLSN}
 	l.cond = sync.NewCond(&l.syncMu)
-	l.fsyncWin = metrics.NewRotatingWindow(0, 0)
 	if len(segs) == 0 {
 		if err := l.openSegment(firstLSN); err != nil {
 			return nil, err
@@ -523,14 +513,11 @@ func (l *Log) poison(err error) {
 	}
 }
 
-// observeFsync folds one fsync latency into the stats and advances the
-// durable watermark.
+// observeFsync records one fsync latency and advances the durable
+// watermark.
 func (l *Log) observeFsync(d time.Duration, upto uint64) {
+	l.fsyncLat.Observe(d)
 	l.syncMu.Lock()
-	l.fsyncs++
-	s := d.Seconds()
-	l.fsyncW.Add(s)
-	l.fsyncWin.Add(time.Now(), s)
 	if upto > l.synced {
 		l.synced = upto
 	}
@@ -679,13 +666,13 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Stats snapshots the log's counters, including fsync latency quantiles
-// over the recent window.
+// Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	st := Stats{
 		Records:           l.records,
 		Bytes:             l.bytes,
+		Fsyncs:            l.fsyncLat.Count(),
 		AppendErrors:      l.appendErrors,
 		Segments:          len(l.segments),
 		TruncatedSegments: l.truncated,
@@ -693,25 +680,12 @@ func (l *Log) Stats() Stats {
 	}
 	l.mu.Unlock()
 	l.syncMu.Lock()
-	st.Fsyncs = l.fsyncs
 	st.SyncedLSN = l.synced
-	st.FsyncCount = l.fsyncW.N()
-	st.FsyncMean = l.fsyncW.Mean()
-	st.FsyncStd = l.fsyncW.Std()
-	// Quantiles cover a rotating recent window, not process lifetime —
-	// a disk that got slow shows up in p99 within a window interval.
-	win := l.fsyncWin.AppendSnapshot(time.Now(), nil)
 	l.syncMu.Unlock()
-	q := func(p float64) float64 {
-		if len(win) == 0 {
-			return 0
-		}
-		v, err := metrics.Quantile(win, p)
-		if err != nil {
-			return 0
-		}
-		return v
-	}
-	st.FsyncP50, st.FsyncP95, st.FsyncP99 = q(0.50), q(0.95), q(0.99)
 	return st
 }
+
+// FsyncLatency is the histogram of every fsync this process issued: a
+// group commit's leader sync, an "always" append's sync, and the seal of
+// a rotated segment.
+func (l *Log) FsyncLatency() *obs.Histogram { return &l.fsyncLat }
