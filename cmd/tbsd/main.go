@@ -118,10 +118,10 @@ func main() {
 		ckptIv      = flag.Duration("checkpoint-interval", 30*time.Second, "background checkpoint period")
 		walOn       = flag.Bool("wal", false, "journal every acknowledged operation to <checkpoint-dir>/wal and replay it on boot; a kill -9 then loses at most the last un-fsynced group instead of a checkpoint interval")
 		walFsync    = flag.String("wal-fsync", "group", "WAL durability policy: group (one fsync per concurrent batch of requests), always (fsync per record), off (OS page cache only)")
-		quarantine  = flag.Bool("restore-quarantine", false, "boot past a corrupt checkpoint file by renaming it to *.corrupt instead of failing (default: strict fail)")
+		quarantine  = flag.Bool("restore-quarantine", false, "boot past a corrupt checkpoint file by renaming it to *.corrupt instead of failing (default: strict fail); with -max-resident or -idle-after, boot reads only the files of the streams the WAL names, and one more, so another stream's file is checked on its first request (500 hydrate_failed) and is not quarantined")
 		maxPending  = flag.Int("max-pending", 1<<20, "max items in one stream's open batch (negative = unbounded)")
 		maxStreams  = flag.Int("max-streams", 1<<16, "max live streams; creation beyond it gets 429 (negative = unbounded)")
-		maxResident = flag.Int("max-resident", 0, "max streams resident in memory; beyond it the least-recently-used idle streams hibernate to their checkpoint files and rehydrate on touch (0 = unbounded; requires -checkpoint-dir)")
+		maxResident = flag.Int("max-resident", 0, "max streams resident in memory; beyond it the least-recently-used idle streams hibernate to their checkpoint files and rehydrate on touch, and boot restores only the streams the WAL names (plus one that checks the scheme), validating every other file on its first touch (0 = unbounded; requires -checkpoint-dir)")
 		idleAfter   = flag.Duration("idle-after", 0, "hibernate any stream untouched for this long, regardless of -max-resident (0 = never; requires -checkpoint-dir)")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error (debug also emits one line per traced request)")

@@ -134,22 +134,24 @@ func (s *Server) checkpointAll() error {
 // drives the same pass on its interval.
 func (s *Server) CheckpointNow() error { return s.checkpointAll() }
 
-// restoreAll drives boot-time recovery: load every snapshot checkpoint,
-// then replay the WAL tail on top, converging to the exact pre-crash
-// state (samplers, open batches, policy clocks, deployed model bytes).
+// restoreAll drives boot-time recovery: load the checkpoint directory
+// (in full, or as stubs with tiering on), then replay the WAL tail on
+// top, converging to the exact pre-crash state (samplers, open batches,
+// policy clocks, deployed model bytes). It returns how many streams boot
+// brought back from their files, stubs included.
 func (s *Server) restoreAll() (int, error) {
-	restored, err := s.restoreSnapshots()
-	if err != nil {
-		return restored, err
+	var b bootTally
+	if err := s.restoreSnapshots(&b); err != nil {
+		return b.restored, err
 	}
 	if s.wal != nil {
-		replayed, err := s.replayWAL()
+		replayed, err := s.replayWAL(&b)
 		s.metrics.SetWALReplayed(replayed)
 		if err != nil {
-			return restored, err
+			return b.restored, err
 		}
 		if replayed > 0 {
-			s.opts.Logger.Info("wal: replayed records on top of snapshots", "records", replayed, "snapshots", restored)
+			s.opts.Logger.Info("wal: replayed records on top of snapshots", "records", replayed, "snapshots", b.restored)
 		}
 		// Replayed boundaries may have dispatched retrains to the
 		// background lane; wait them out so journaling can be enabled
@@ -161,27 +163,42 @@ func (s *Server) restoreAll() (int, error) {
 			}
 		}
 	}
-	return restored, nil
+	s.metrics.SetQuarantined(b.quarantined)
+	return b.restored, nil
+}
+
+// bootTally counts what boot did with the checkpoint directory.
+type bootTally struct {
+	restored    int // streams brought back from their files, stubs included
+	quarantined int // files renamed aside under RestoreQuarantine
 }
 
 // restoreSnapshots loads every checkpoint file in the directory into the
 // registry. Foreign files are ignored; a corrupt checkpoint is an error
 // (silently dropping a tenant's stream would be worse than failing boot)
-// unless RestoreQuarantine is set, in which case the bad file is renamed
-// to *.corrupt, counted, and boot continues with the remaining tenants.
-func (s *Server) restoreSnapshots() (int, error) {
+// unless RestoreQuarantine is set (see quarantine).
+//
+// With tiering on, boot is lazy: it restores files in full only until one
+// succeeds, which checks the directory's scheme against the server's
+// (every file in it passed that check in rebuild when it was written, so
+// a restart under another scheme still fails here), and registers every
+// other file as a hibernated stub from the listing alone. WAL replay then
+// restores each stub the log names (replayWAL), and a request restores
+// the rest on first touch (hydrate), which is where a corrupt or foreign
+// stub file surfaces: as 500 hydrate_failed, not as a failed boot.
+func (s *Server) restoreSnapshots(b *bootTally) error {
 	dir := s.opts.CheckpointDir
 	if dir == "" {
-		return 0, nil
+		return nil
 	}
 	des, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, os.MkdirAll(dir, 0o755)
+		return os.MkdirAll(dir, 0o755)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
-	restored, quarantined := 0, 0
+	lazy, checked := s.tieringEnabled(), false
 	for _, de := range des {
 		if de.IsDir() {
 			continue
@@ -190,24 +207,40 @@ func (s *Server) restoreSnapshots() (int, error) {
 		if !ok {
 			continue
 		}
-		err := s.restoreOne(dir, de.Name(), key)
+		// A stub's file is read by its canonical name, so a file named
+		// otherwise (base64 decoding ignores some bits) is read now.
+		if lazy && checked && de.Name() == checkpointFileName(key) {
+			err = s.reg.insertStub(key)
+		} else {
+			err = s.restoreOne(de.Name(), key, nil)
+			checked = err == nil
+		}
 		if err == nil {
-			restored++
+			b.restored++
 			continue
 		}
-		if s.opts.RestoreQuarantine && !restoreStrict(err) {
-			bad := filepath.Join(dir, de.Name())
-			if rerr := os.Rename(bad, bad+".corrupt"); rerr != nil {
-				return restored, fmt.Errorf("server: quarantine %s: %v (original error: %w)", de.Name(), rerr, err)
-			}
-			quarantined++
-			s.opts.Logger.Warn("restore: quarantined corrupt checkpoint", "file", de.Name(), "renamedTo", de.Name()+".corrupt", "err", err)
-			continue
+		if err := s.quarantine(de.Name(), err, b); err != nil {
+			return err
 		}
-		return restored, err
 	}
-	s.metrics.SetQuarantined(quarantined)
-	return restored, nil
+	return nil
+}
+
+// quarantine is boot's answer to a checkpoint file that failed to
+// restore. With RestoreQuarantine, a file whose content is at fault
+// (restoreStrict) is renamed to *.corrupt and counted, and quarantine
+// returns nil; otherwise it returns err, which fails boot.
+func (s *Server) quarantine(name string, err error, b *bootTally) error {
+	if !s.opts.RestoreQuarantine || restoreStrict(err) {
+		return err
+	}
+	bad := filepath.Join(s.opts.CheckpointDir, name)
+	if rerr := os.Rename(bad, bad+".corrupt"); rerr != nil {
+		return fmt.Errorf("server: quarantine %s: %v (original error: %w)", name, rerr, err)
+	}
+	b.quarantined++
+	s.opts.Logger.Warn("restore: quarantined corrupt checkpoint", "file", name, "renamedTo", name+".corrupt", "err", err)
+	return nil
 }
 
 // restoreStrict is boot's error classifier: it marks the restore
@@ -219,13 +252,22 @@ func restoreStrict(err error) bool {
 	return errors.As(err, new(*fs.PathError)) || errors.Is(err, errSchemeMismatch) || errors.Is(err, errStreamExists)
 }
 
-// restoreOne loads a single checkpoint file into the registry.
-func (s *Server) restoreOne(dir, name, key string) error {
-	st, err := readCheckpointFile(filepath.Join(dir, name))
+// restoreOne restores a single checkpoint file, with no tail, into a new
+// registry entry, or into stub when that is non-nil: a stream that lazy
+// boot registered without reading its file, which fills through the same
+// step as a hydration.
+func (s *Server) restoreOne(name, key string, stub *entry) error {
+	st, err := readCheckpointFile(filepath.Join(s.opts.CheckpointDir, name))
 	if err == nil {
 		var e *entry
 		if e, err = s.rebuild(key, st, nil, nil, time.Time{}, 0, 0); err == nil {
-			err = s.reg.insertRestored(e)
+			if stub == nil {
+				err = s.reg.insertRestored(e)
+			} else {
+				stub.mu.Lock()
+				s.reg.fillStubLocked(stub, e)
+				stub.mu.Unlock()
+			}
 		}
 	}
 	if err != nil {

@@ -323,12 +323,18 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	existed, err := s.deleteStream(key)
+	if errors.Is(err, errStreamMigrating) {
+		// Frozen by an adoption: nothing was removed, retry.
+		status, code, extra := s.ingestFailure(err)
+		writeJSON(w, status, errorBody(code, err.Error(), extra))
+		return
+	}
 	// A DELETE clears the handed-off marker too: the operator is
 	// explicitly discarding this node's memory of the key, after which a
 	// new ingest may create a fresh stream here. Dropping the marker
 	// alone counts as a delete — there is no local entry behind it.
 	_, wasMoved := s.reg.moved.LoadAndDelete(key)
-	existed, err := s.deleteStream(key)
 	if !existed && !wasMoved {
 		writeError(w, http.StatusNotFound, "unknown stream %q", key)
 		return

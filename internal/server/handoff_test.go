@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -318,4 +320,40 @@ func TestDeleteClearsMovedMarker(t *testing.T) {
 	if st := src.stats(key); st.Batches != 1 {
 		t.Errorf("recreated stream stats %+v", st)
 	}
+}
+
+// TestDeleteRefusesFrozenStream: an adoption inserts its entry frozen and
+// attaches the WAL only after its checkpoint write, so a DELETE in that
+// window could journal no tombstone and the write would bring the file
+// back. A DELETE of a frozen stream therefore answers 503
+// stream_migrating and removes nothing; once the freeze lifts, it goes
+// through and stays through a restart.
+func TestDeleteRefusesFrozenStream(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, handoffOpts(dir, 8))
+	h.driveStream("frozen", 1, 3)
+	if err := h.srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	want := h.stats("frozen")
+	e := h.srv.reg.lookup("frozen")
+	if err := e.beginMigration(); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	h.do("DELETE", "/v1/streams/frozen", nil, http.StatusServiceUnavailable, &out)
+	if out["code"] != "stream_migrating" {
+		t.Errorf("DELETE of a frozen stream: code %v, want stream_migrating", out["code"])
+	}
+	if got := h.stats("frozen"); got != want {
+		t.Errorf("stats after the refused DELETE: %+v, want %+v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointFileName("frozen"))); err != nil {
+		t.Errorf("the refused DELETE removed the checkpoint file: %v", err)
+	}
+	e.endMigration()
+	h.do("DELETE", "/v1/streams/frozen", nil, http.StatusOK, nil)
+	h.kill()
+	h2 := newHarness(t, handoffOpts(dir, 8))
+	h2.do("GET", "/v1/streams/frozen/stats", nil, http.StatusNotFound, nil)
 }

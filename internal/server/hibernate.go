@@ -27,6 +27,11 @@ import (
 //     (rebuild), and install the state back into the stub — exactly the
 //     crash-recovery path, so a hydrated stream resumes the identical
 //     stochastic process
+//   - boot makes stubs too (restoreSnapshots): with tiering on, it
+//     registers every checkpoint file as a stub without reading it,
+//     restores in full one file (the scheme check) and the streams WAL
+//     replay names, and leaves the rest to their first cold hit, so a
+//     stub's file is validated there, not at boot
 //
 // Victim selection is LRU over a per-entry touch clock (entry.lastTouch,
 // stamped by every pin) with two triggers: a resident-count bound
@@ -163,9 +168,11 @@ func (s *Server) hydrate(e *entry) (err error) {
 			if stubLSN <= lsn {
 				// The file covers the stub's newest record, so the key has
 				// no tail. Eviction writes a dirty entry's file and waits
-				// out a checkpoint pass's write, so every stub evicted
-				// while serving takes this path; the tail read is for
-				// stubs made another way.
+				// out a checkpoint pass's write, and a stub lazy boot left
+				// has no record in the log (walLSN 0: replay restored
+				// every stream the log names), so every stub takes this
+				// path; the tail read keeps the skip exact should a
+				// later change make stubs with tails.
 				return nil, nil
 			}
 			return s.wal.TailForKey(e.key, lsn)
@@ -191,18 +198,8 @@ func (s *Server) hydrate(e *entry) (err error) {
 		e.mu.Unlock()
 		return errStreamDeleted
 	}
-	e.sampler = scratch.sampler
-	e.pending = scratch.pending
-	e.ingested = scratch.ingested
-	e.batches = scratch.batches
-	e.dirty = scratch.dirty
-	e.persisted = true
-	e.walLSN = scratch.walLSN
-	e.durableLSN = max(e.durableLSN, scratch.durableLSN)
-	e.model.Store(scratch.model.Load())
-	e.hibernated.Store(false)
+	s.reg.fillStubLocked(e, scratch)
 	e.mu.Unlock()
-	s.reg.resident.Add(1)
 	tr.StageSince(obs.StageInstall, installStart)
 	s.maybeKickHibernator()
 	return nil
@@ -287,8 +284,10 @@ func (s *Server) hibernatePass(now time.Time) (evicted int, firstErr error) {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].touch < cands[j].touch })
 	for _, c := range cands {
 		// A zero touch clock (restored at boot, never pinned since) sorts
-		// oldest and counts as idle — the boot spike of restored-but-idle
-		// tenants drains on the first sweeps.
+		// oldest and counts as idle. Boot leaves resident only the
+		// streams the WAL named and the one that checked the scheme;
+		// after a kill those may exceed MaxResident, and the first sweeps
+		// trim them.
 		idle := idleCut != 0 && c.touch < idleCut
 		if over <= 0 && !idle {
 			break // ascending order: every later candidate is fresher

@@ -725,8 +725,8 @@ func (r *registry) enableWAL(l *wal.Log) {
 // errStreamExists marks a rebuilt stream whose key is already live here.
 var errStreamExists = errors.New("stream already exists")
 
-// insertRestored installs a rebuilt entry (boot restore, adoption). It
-// refuses to clobber an existing stream.
+// insertRestored installs a rebuilt entry (boot restore, adoption) or a
+// boot stub (insertStub). It refuses to clobber an existing stream.
 func (r *registry) insertRestored(e *entry) error {
 	sh := r.shardFor(e.key)
 	sh.mu.Lock()
@@ -736,8 +736,39 @@ func (r *registry) insertRestored(e *entry) error {
 	}
 	sh.entries[e.key] = e
 	r.total.Add(1)
-	r.resident.Add(1)
+	if !e.hibernated.Load() {
+		r.resident.Add(1)
+	}
 	return nil
+}
+
+// insertStub registers a stream that lazy boot found in the checkpoint
+// directory, without reading its file: a hibernated stub whose WAL
+// positions are 0. It counts in total but not in resident, and like every
+// boot restore it is exempt from the stream cap. Its file is read when
+// WAL replay names the stream (restoreOne) or a request first touches it
+// (hydrate).
+func (r *registry) insertStub(key string) error {
+	e := &entry{key: key, persisted: true}
+	e.hibernated.Store(true)
+	return r.insertRestored(e)
+}
+
+// fillStubLocked installs a rebuilt entry's state into the stub e and
+// counts e resident: the one install of hydration and of replay's
+// restore of a boot stub. The caller holds e.mu.
+func (r *registry) fillStubLocked(e, from *entry) {
+	e.sampler = from.sampler
+	e.pending = from.pending
+	e.ingested = from.ingested
+	e.batches = from.batches
+	e.dirty = from.dirty
+	e.persisted = true
+	e.walLSN = from.walLSN
+	e.durableLSN = max(e.durableLSN, from.durableLSN)
+	e.model.Store(from.model.Load())
+	e.hibernated.Store(false)
+	r.resident.Add(1)
 }
 
 // keys returns every stream key, sorted.

@@ -84,7 +84,11 @@ type Options struct {
 	// RestoreQuarantine, when set, boots past a corrupt checkpoint file
 	// by renaming it to *.corrupt and counting it, instead of failing the
 	// whole boot (the default — losing one tenant silently is worse than
-	// a loud crash loop, so opting in is deliberate).
+	// a loud crash loop, so opting in is deliberate). It covers the files
+	// boot reads: with tiering on, those of the streams the WAL names and
+	// the one that checks the scheme; any other file is read on its
+	// stream's first request, where a corrupt one answers 500
+	// hydrate_failed.
 	RestoreQuarantine bool
 
 	// MaxPendingItems bounds one stream's open batch; ingest beyond it is
@@ -109,7 +113,11 @@ type Options struct {
 	// stubs backed by their checkpoint files, and a request touching a
 	// cold key rehydrates it lazily through the restore path. Requires
 	// CheckpointDir. Live streams beyond MaxResident still count against
-	// MaxStreams — tiering bounds memory, not tenancy.
+	// MaxStreams — tiering bounds memory, not tenancy. With tiering on
+	// (MaxResident or IdleAfter), boot is lazy too: it registers every
+	// checkpoint file as a stub and restores only the streams the WAL
+	// names, plus one file that checks the scheme; any other stream's
+	// file is validated when a request first touches it.
 	MaxResident int
 
 	// IdleAfter, when positive, hibernates any stream untouched for this
@@ -199,7 +207,9 @@ type Server struct {
 }
 
 // New validates the configuration and, when a checkpoint directory is
-// configured, restores every stream found there.
+// configured, restores every stream found there (with tiering on, as
+// hibernated stubs for all but the streams the WAL names; see
+// restoreSnapshots).
 func New(opts Options) (*Server, error) {
 	opts.setDefaults()
 	if (opts.MaxResident > 0 || opts.IdleAfter > 0) && opts.CheckpointDir == "" {

@@ -101,7 +101,13 @@ func (s *Server) compactWAL() {
 // after is re-applied in LSN order, reproducing the pre-crash process
 // exactly (boundaries re-run the full model step, so retrain decisions
 // and deployed models are recomputed rather than trusted).
-func (s *Server) replayWAL() (int, error) {
+//
+// A record that names a stub lazy boot registered restores the stub's
+// file first, so its WalLSN is known before the record is compared with
+// it. That is boot work: a failure is classified as boot's (quarantine),
+// and it counts no hydration. Every stream the log names is therefore
+// resident after replay, and every stub left has no record in the log.
+func (s *Server) replayWAL(b *bootTally) (int, error) {
 	replayed := 0
 	err := s.wal.Replay(func(r wal.Record) error {
 		if r.Type == wal.TypeRetrainSwap || r.Type == wal.TypeSampleRead {
@@ -112,6 +118,19 @@ func (s *Server) replayWAL() (int, error) {
 			return nil
 		}
 		e := s.reg.lookup(r.Key)
+		if e != nil && e.hibernated.Load() {
+			name := checkpointFileName(r.Key)
+			if err := s.restoreOne(name, r.Key, e); err != nil {
+				if err := s.quarantine(name, err, b); err != nil {
+					return err
+				}
+				// The file is aside: rebuild the stream from its records
+				// alone, as when boot quarantines a file it reads in full.
+				s.reg.remove(r.Key)
+				b.restored--
+				e = nil
+			}
+		}
 		if e != nil && r.LSN <= e.journaledLSN() {
 			return nil
 		}
@@ -183,12 +202,24 @@ func (s *Server) applyReplayRecord(e *entry, r wal.Record) error {
 // passes by ckptMu — otherwise an in-flight pass could rewrite the
 // checkpoint file after the unlink. Returns false when the stream does
 // not exist.
+//
+// A stream frozen for a migration is refused with errStreamMigrating, as
+// every other mutation is. Only an adoption can hold that freeze here:
+// a source-side handoff holds ckptMu for its whole length. The adopted
+// entry journals nothing until its checkpoint file is written, so a
+// tombstone then would be lost and the write would recreate the file.
 func (s *Server) deleteStream(key string) (bool, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	e := s.reg.lookup(key)
 	if e == nil {
 		return false, nil
+	}
+	e.mu.Lock()
+	frozen := e.migrating
+	e.mu.Unlock()
+	if frozen {
+		return true, errStreamMigrating
 	}
 	// Drain queued boundaries first so no engine task is mid-apply while
 	// the stream disappears (applies to a detached entry are harmless but

@@ -9,9 +9,10 @@ import (
 )
 
 // Type tags one WAL record. The set mirrors the server's durable state
-// transitions: everything the server acknowledges to a client (or lets a
-// client observe, in the case of RNG-consuming sample reads) is journaled
-// as exactly one of these before the acknowledgement goes out.
+// transitions: every state change the server acknowledges to a client is
+// journaled as exactly one of these before the acknowledgement goes out.
+// Two types survive only in older logs (TypeRetrainSwap, TypeSampleRead):
+// they stay decodable, and replay skips them.
 type Type uint8
 
 const (

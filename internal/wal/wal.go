@@ -1,10 +1,10 @@
 // Package wal is the per-server write-ahead log closing tbsd's
 // crash-window data-loss hole: every acknowledged state transition
-// (ingest chunk, batch boundary, model attach/detach, RNG-consuming
-// sample read) is appended to an append-only, length-prefixed,
-// CRC32-framed segment log and made durable before the acknowledgement,
-// so a kill -9 loses at most the last un-fsynced group instead of up to a
-// full checkpoint interval.
+// (ingest chunk, batch boundary, model attach/detach, stream delete) is
+// appended to an append-only, length-prefixed, CRC32-framed segment log
+// and made durable before the acknowledgement, so a kill -9 loses at most
+// the last un-fsynced group instead of up to a full checkpoint interval.
+// Sample reads change no state and journal nothing.
 //
 // Layout: the log is a directory of segment files named by the LSN of
 // their first record (0000000000000001.wal, …). Records carry explicit,
